@@ -3,7 +3,7 @@
 Commands: attractor | individual | slices | chaos | verify | render.
 Configuration comes from an optional JSON file plus flag overrides (flags
 win).  Exit codes: 0 success, 2 configuration error, 3 non-convergence,
-4 assumption violation.  CHOICE_DYN_THREADS caps internal parallelism.
+4 assumption violation.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 from . import models, verify
@@ -36,6 +37,15 @@ EXIT_ASSUMPTION = 4
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def _config_errors():
+    """Report a ValueError raised on bad input as a configuration error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -139,10 +149,8 @@ def _subshift_from(cfg: RunConfig, n_symbols: int) -> SoficPresentation:
         with open(name, "r", encoding="utf-8") as fh:
             pres = SoficPresentation.from_text(fh.read(), n_symbols=n_symbols)
     else:
-        try:
+        with _config_errors():
             pres = builtin(name, n_symbols=n_symbols)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
     if pres.is_empty:
         raise ConfigError(f"subshift {name!r} is empty")
     return pres
@@ -165,7 +173,8 @@ def _write_cloud(out_dir: str, stem: str, cloud: PointCloud, model) -> None:
 def cmd_attractor(args) -> int:
     cfg = RunConfig.load(args)
     model, delta = _model_from(cfg)
-    report = compute_K(model, delta, tol=cfg.tol, maxiter=cfg.maxiter)
+    with _config_errors():
+        report = compute_K(model, delta, tol=cfg.tol, maxiter=cfg.maxiter)
     _write_cloud(cfg.out, "k", report.cloud, model)
     print(
         f"K: {report.cloud.n} points at delta={delta}, "
@@ -182,11 +191,9 @@ def cmd_individual(args) -> int:
     model, delta = _model_from(cfg)
     if not cfg.strategy:
         raise ConfigError("individual needs --strategy")
-    try:
+    with _config_errors():
         w = parse_strategy(str(cfg.strategy))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    report = individual_attractor(model, w, delta, burnin=cfg.burnin, window=cfg.window)
+        report = individual_attractor(model, w, delta, burnin=cfg.burnin, window=cfg.window)
     _write_cloud(cfg.out, "a_w", report.cloud, model)
     print(
         f"A_{w}: {report.cloud.n} points, {report.iterations} steps, residual {report.residual:.3e}"
@@ -206,8 +213,9 @@ def cmd_slices(args) -> int:
     cfg = RunConfig.load(args)
     model, delta = _model_from(cfg)
     pres = _subshift_from(cfg, model.n_maps)
-    family = vertex_limits(model, pres, delta, tol=cfg.tol, maxiter=cfg.maxiter)
-    report = enumerate_slices(model, pres, family, period_bound=cfg.period_bound)
+    with _config_errors():
+        family = vertex_limits(model, pres, delta, tol=cfg.tol, maxiter=cfg.maxiter)
+        report = enumerate_slices(model, pres, family, period_bound=cfg.period_bound)
     save_slice_report(report, cfg.out)
     ok, residuals = verify_decomposition(report, model)
     print(f"distinct slices: {len(report.slices)}")
@@ -230,7 +238,7 @@ def cmd_chaos(args) -> int:
     x0 = cfg.x0
     if x0 is None:
         x0 = [(lo + hi) / 2.0 for lo, hi in zip(model.lower, model.upper)]
-    try:
+    with _config_errors():
         cloud, mean = chaos_game(
             model,
             probs=probs,
@@ -240,8 +248,6 @@ def cmd_chaos(args) -> int:
             rng_seed=int(cfg.seed),
             delta=delta,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     _write_cloud(cfg.out, "chaos", cloud, model)
     print(f"chaos game: {cloud.n} distinct points, observable mean {mean!r}")
     return EXIT_OK
@@ -254,11 +260,9 @@ def cmd_verify(args) -> int:
         kwargs["pset0"] = models.MalariaParams(**cfg.params["pset0"], dt=cfg.params.get("dt", 0.05))
     if "pset1" in cfg.params:
         kwargs["pset1"] = models.MalariaParams(**cfg.params["pset1"], dt=cfg.params.get("dt", 0.05))
-    try:
+    with _config_errors():
         ctx = verify.Context(**kwargs)
         results = verify.run(only=cfg.only, ctx=ctx, echo=print)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     os.makedirs(cfg.out, exist_ok=True)
     with open(os.path.join(cfg.out, "verify.json"), "w", encoding="utf-8") as fh:
         json.dump(verify.to_json(results), fh, indent=2, sort_keys=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .setdyn import ModelSpec, PointCloud, _map_points, hausdorff
+from .setdyn import ModelSpec, PointCloud, _Graph, hausdorff
 from .sofic import SoficPresentation, start_vertices
 from .symbolic import UPString, enumerate_words
 
@@ -62,45 +62,37 @@ def vertex_limits(
         raise ValueError("presentation is empty")
     if tol is None:
         tol = float(delta)
-    seed = model.seed_cloud(delta)
-    empty = PointCloud(np.empty((0, model.dim)), delta)
+    g = _Graph(model, delta, model.seeder(delta))
     incoming = {v: [] for v in pres.vertices}
     for src, sym, dst in pres.edges:
         incoming[dst].append((src, sym))
     for edges in incoming.values():
         edges.sort()
-    clouds = {v: seed for v in pres.vertices}
+    masks = dict.fromkeys(pres.vertices, np.ones(g.n, bool))
     residuals = {v: float("inf") for v in pres.vertices}
     converged = {v: False for v in pres.vertices}
-    for sweep in range(1, maxiter + 1):
-        fresh = {}
-        for v, edges in incoming.items():
-            parts = [
-                _map_points(model.maps[sym], clouds[src].points)
-                for src, sym in edges
-                if clouds[src].n
-            ]
-            if not parts:
-                # no long word ends here: the limit over its paths is empty
-                fresh[v] = empty
-                continue
-            raw = np.concatenate(parts)
-            model.escape_check(raw, delta, step=sweep)
-            fresh[v] = PointCloud(raw, delta)
+    sweep = 0
+    while sweep < maxiter and not all(converged.values()):
+        sweep += 1
+        # a vertex without live incoming edges gets the empty set: no long word ends there
+        fresh = {
+            v: g.image([(masks[src], sym) for src, sym in edges], step=sweep)
+            for v, edges in incoming.items()
+        }
         for v in pres.vertices:
-            if fresh[v] == clouds[v]:
+            new, old = g.fit(fresh[v]), g.fit(masks[v])
+            if np.array_equal(new, old):
                 residuals[v] = 0.0
                 converged[v] = True
-            elif fresh[v].n == 0 or clouds[v].n == 0:
+            elif not new.any() or not old.any():
                 residuals[v] = float("inf")
                 converged[v] = False
             else:
-                residuals[v] = hausdorff(fresh[v], clouds[v], model)
+                residuals[v] = hausdorff(g.cloud(new), g.cloud(old), model)
                 converged[v] = residuals[v] <= tol
-        clouds = fresh
-        if all(converged.values()):
-            return VertexFamily(pres, clouds, converged, residuals, sweep)
-    return VertexFamily(pres, clouds, converged, residuals, maxiter)
+        masks = fresh
+    clouds = {v: g.cloud(masks[v]) for v in pres.vertices}
+    return VertexFamily(pres, clouds, converged, residuals, sweep)
 
 
 def slice_cloud(
@@ -135,7 +127,7 @@ def _decomposition_sets(model: ModelSpec, k_lambda: PointCloud, delta: float):
     tol = _membership_tolerance(delta)
     sets = []
     for fn in model.maps:
-        images = _map_points(fn, k_lambda.points)
+        images = np.asarray(fn(k_lambda.points), dtype=float)
         if delta > 0:
             dist, _ = cKDTree(k_lambda.points).query(images, k=1, workers=-1)
             mask = dist <= tol
@@ -212,7 +204,7 @@ def verify_decomposition(report: SliceReport, model: ModelSpec):
     mapped_parts = []
     for fn, a in zip(model.maps, report.a_sets):
         if a.n:
-            mapped_parts.append(PointCloud(_map_points(fn, a.points), delta))
+            mapped_parts.append(PointCloud(np.asarray(fn(a.points), dtype=float), delta))
     mapped = PointCloud.union(mapped_parts)
     r_union = hausdorff(report.k_lambda, union, model)
     r_mapped = hausdorff(report.k_lambda, mapped, model)

@@ -10,16 +10,16 @@ bounded region terminates in exact set cycles.
 The engine provides the Hutchinson-Barnsley step F(A) = S_0(A) u ... u
 S_{N-1}(A), the global attractor loop, word application, per-strategy
 (individual) attractors with tail-cycle detection, omega-limit sets from a
-caller seed, and the chaos game.  Map application over a cloud may run on a
-thread pool (CHOICE_DYN_THREADS); results are order-independent because the
-reduction is canonical sort + dedupe.
+caller seed, and the chaos game.  Snapping works point by point, so on the
+grid each map is a fixed table node -> node: the attractor loops iterate
+boolean masks over the nodes of a lazily built transition graph (the
+set-oriented approach of GAIO) and build clouds only for results and
+residuals.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,25 +48,6 @@ class AssumptionViolation(RuntimeError):
         )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CHOICE_DYN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_points(fn, pts: np.ndarray) -> np.ndarray:
-    """Apply a vectorized point map, chunked over a thread pool when enabled."""
-    workers = _thread_count()
-    if workers == 1 or len(pts) < 8192:
-        return np.asarray(fn(pts), dtype=float)
-    chunks = np.array_split(pts, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: np.asarray(fn(c), dtype=float), chunks))
-    return np.concatenate(parts)
-
-
 def _as_point_array(points, dim=None) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
@@ -76,44 +57,56 @@ def _as_point_array(points, dim=None) -> np.ndarray:
     return arr
 
 
+def _snap(arr: np.ndarray, delta: float) -> np.ndarray:
+    """Grid keys of the rows: nearest node index with ties toward -inf, or
+    the exact rows when delta = 0."""
+    if not np.isfinite(arr).all():
+        raise ValueError("points must be finite")
+    if delta == 0:
+        return arr + 0.0
+    idx = arr / delta
+    idx -= 0.5
+    np.ceil(idx, out=idx)
+    if max(-idx.min(initial=0.0), idx.max(initial=0.0)) >= 2.0**63:
+        raise ValueError(
+            f"delta={delta!r} is too fine for coordinates of magnitude "
+            f"{float(np.max(np.abs(arr))):.3g}: grid indices overflow int64"
+        )
+    return idx.astype(np.int64)
+
+
+def _codes(cols, keys: np.ndarray) -> np.ndarray:
+    """Each key row packed into one int64 by its ranks in the sorted
+    per-column value arrays ``cols``; codes order rows lexicographically."""
+    if math.prod(len(vals) for vals in cols) >= 2**63:
+        raise ValueError("too many distinct coordinates to pack rows into int64 codes")
+    code = np.zeros(len(keys), np.int64)
+    for c, vals in enumerate(cols):
+        code = code * len(vals) + np.searchsorted(vals, keys[:, c])
+    return code
+
+
+def _decode(cols, codes: np.ndarray) -> np.ndarray:
+    """The key rows that ``_codes`` packed over cols into codes."""
+    out = np.empty((len(codes), len(cols)), cols[0].dtype)
+    for c in reversed(range(len(cols))):
+        codes, rank = np.divmod(codes, len(cols[c]))
+        out[:, c] = cols[c][rank]
+    return out
+
+
 def _unique_rows(arr: np.ndarray) -> np.ndarray:
     """Deduplicated rows in lexicographic order (row-major)."""
-    if len(arr) == 0:
-        return arr
-    if arr.shape[1] == 1:
-        return np.unique(arr[:, 0])[:, None]
-    if arr.dtype == np.int64:
-        mins = arr.min(axis=0)
-        spans = (arr.max(axis=0) - mins + 1).astype(object)
-        total_bits = sum(int(s - 1).bit_length() for s in spans)
-        if total_bits <= 62:
-            shifted = arr - mins
-            key = shifted[:, 0].astype(np.int64)
-            for c in range(1, arr.shape[1]):
-                key = key * int(spans[c]) + shifted[:, c]
-            uniq = np.unique(key)
-            out = np.empty((len(uniq), arr.shape[1]), dtype=np.int64)
-            rem = uniq
-            for c in range(arr.shape[1] - 1, 0, -1):
-                rem, col = np.divmod(rem, int(spans[c]))
-                out[:, c] = col
-            out[:, 0] = rem
-            return out + mins
-    return np.unique(arr, axis=0)
-
-
-def _void_view(arr: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(arr)
-    return a.view([("", a.dtype)] * a.shape[1]).ravel()
+    cols = [np.unique(col) for col in arr.T]
+    if len(cols) == 1:
+        return cols[0][:, None]
+    return _decode(cols, np.unique(_codes(cols, arr)))
 
 
 def _rows_isin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean mask: which rows of a occur among the rows of b."""
-    if len(b) == 0:
-        return np.zeros(len(a), dtype=bool)
-    if a.shape[1] == 1:
-        return np.isin(a[:, 0], b[:, 0])
-    return np.isin(_void_view(a), _void_view(b))
+    cols = [np.union1d(x, y) for x, y in zip(a.T, b.T)]
+    return np.isin(_codes(cols, a), _codes(cols, b))
 
 
 class PointCloud:
@@ -130,16 +123,19 @@ class PointCloud:
         delta = float(delta)
         if delta < 0 or not math.isfinite(delta):
             raise ValueError("delta must be a finite non-negative number")
-        arr = _as_point_array(points)
-        if not np.isfinite(arr).all():
-            raise ValueError("points must be finite")
+        arr = _unique_rows(_snap(_as_point_array(points), delta))
         if delta > 0:
-            idx = np.ceil(arr / delta - 0.5).astype(np.int64)
-            arr = _unique_rows(idx) * delta
-        else:
-            arr = _unique_rows(arr + 0.0)
+            arr = arr * delta
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "points", arr)
+
+    @classmethod
+    def _canonical(cls, points: np.ndarray, delta: float) -> "PointCloud":
+        """A cloud of rows that are already snapped, distinct and sorted."""
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "delta", float(delta))
+        object.__setattr__(cloud, "points", points)
+        return cloud
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("PointCloud is immutable")
@@ -168,33 +164,20 @@ class PointCloud:
         return f"PointCloud(n={self.n}, dim={self.dim}, delta={self.delta!r})"
 
     def _keys(self) -> np.ndarray:
-        if self.delta > 0:
-            return np.rint(self.points / self.delta).astype(np.int64)
-        return self.points
+        return _snap(self.points, self.delta)
 
     def subset_of(self, other: "PointCloud") -> bool:
         return bool(_rows_isin(self._keys(), other._keys()).all())
 
     def difference(self, other: "PointCloud") -> "PointCloud":
-        mask = ~_rows_isin(self._keys(), other._keys())
-        return PointCloud(self.points[mask], self.delta) if mask.any() else PointCloud(
-            np.empty((0, self.dim)), self.delta
-        )
+        return PointCloud(self.points[~_rows_isin(self._keys(), other._keys())], self.delta)
 
     def intersection(self, other: "PointCloud") -> "PointCloud":
-        mask = _rows_isin(self._keys(), other._keys())
-        return PointCloud(self.points[mask], self.delta) if mask.any() else PointCloud(
-            np.empty((0, self.dim)), self.delta
-        )
+        return PointCloud(self.points[_rows_isin(self._keys(), other._keys())], self.delta)
 
     def contains_points(self, pts) -> np.ndarray:
         """Per-row membership of the snapped probe points in this cloud."""
-        pts = _as_point_array(pts, self.dim)
-        if self.delta > 0:
-            keys = np.ceil(pts / self.delta - 0.5).astype(np.int64)
-        else:
-            keys = pts + 0.0
-        return _rows_isin(keys, self._keys())
+        return _rows_isin(_snap(_as_point_array(pts, self.dim), self.delta), self._keys())
 
     @staticmethod
     def union(clouds) -> "PointCloud":
@@ -295,11 +278,104 @@ def _check_delta(model: ModelSpec, delta: float) -> float:
     return delta
 
 
+_CHUNK = 1 << 16
+
+
+class _Graph:
+    """The finite transition graph of a model's maps on the delta-grid.
+
+    Nodes are grid keys (the snapped integer index for delta > 0, the exact
+    row for delta = 0): first the seed's, in lexicographic order, then keys
+    that first appear as images; ``order`` lists all lexicographically.
+    ``succ[j][x]`` is the node of snap(S_j(x)), computed the first time x is
+    live under map j (-1 before).  Sets are boolean masks over node ids; a
+    mask made before later nodes appeared is read as False on them.
+    """
+
+    def __init__(self, model: ModelSpec, delta: float, seed):
+        delta = float(delta)
+        if delta < 0 or not math.isfinite(delta):
+            raise ValueError("delta must be a finite non-negative number")
+        self.model = model
+        self.delta = delta
+        keys = _snap(_as_point_array(seed, model.dim), delta)
+        self.cols = [np.unique(col) for col in keys.T]  # distinct values per column
+        self.code = np.unique(_codes(self.cols, keys))  # per node: its key, packed
+        self.order = np.arange(len(self.code))
+        self.keys = _decode(self.cols, self.code)
+        self.succ = [np.full(len(self.code), -1) for _ in model.maps]
+        self._sparse = (None, None)  # (mask, its node ids) of the last small image
+
+    @property
+    def n(self) -> int:
+        return len(self.keys)
+
+    def nodes(self, points) -> np.ndarray:
+        """Node ids of the snapped points; unseen keys become new nodes."""
+        keys = _snap(_as_point_array(points, self.model.dim), self.delta)
+        if not all(np.isin(col, vals).all() for col, vals in zip(keys.T, self.cols)):
+            self.cols = [np.union1d(vals, col) for col, vals in zip(keys.T, self.cols)]
+            self._reorder(_codes(self.cols, self.keys))
+        code = _codes(self.cols, keys)
+        ids = self.order[np.minimum(np.searchsorted(self.code, code, sorter=self.order), self.n - 1)]
+        miss = self.code[ids] != code
+        if miss.any():
+            fresh = np.unique(code[miss])
+            ids[miss] = self.n + np.searchsorted(fresh, code[miss])
+            self.keys = np.concatenate((self.keys, _decode(self.cols, fresh)))
+            self.succ = [np.concatenate((t, np.full(len(fresh), -1))) for t in self.succ]
+            self._reorder(np.concatenate((self.code, fresh)))
+        return ids
+
+    def _reorder(self, code: np.ndarray) -> None:
+        self.code = code
+        self.order = np.argsort(code, kind="stable")
+
+    def fit(self, mask: np.ndarray) -> np.ndarray:
+        """The mask padded with False to the current node count."""
+        return np.concatenate((mask, np.zeros(self.n - len(mask), bool)))
+
+    def image(self, pairs, step: int = 0) -> np.ndarray:
+        """Mask of the union of snap(S_j(A)) over the (mask of A, j) pairs.
+
+        Successors missing for live nodes are computed with vectorised
+        calls in lexicographic node order, and escape-checked, in chunks of
+        ``_CHUNK`` nodes so that a large first step needs little memory.
+        """
+        hits = []
+        for mask, j in pairs:
+            live = self._sparse[1] if mask is self._sparse[0] else np.flatnonzero(mask)
+            need = live[self.succ[j][live] < 0]
+            need = need[np.argsort(self.code[need])]
+            for lo in range(0, len(need), _CHUNK):
+                part = need[lo : lo + _CHUNK]
+                img = np.asarray(self.model.maps[j](self.points(part)), dtype=float)
+                self.model.escape_check(img, self.delta, step=step)
+                ids = self.nodes(img)
+                self.succ[j][part] = ids
+            hits.append(self.succ[j][live])
+        out = np.zeros(self.n, bool)
+        for ids in hits:
+            out[ids] = True
+        if hits and sum(map(len, hits)) * 64 < self.n:
+            # a small set on a large grid: keep its node ids, sparing a full scan next step
+            self._sparse = (out, np.unique(np.concatenate(hits)))
+        return out
+
+    def points(self, ids: np.ndarray) -> np.ndarray:
+        keys = self.keys[ids]
+        return keys * self.delta if self.delta > 0 else keys
+
+    def cloud(self, mask: np.ndarray) -> PointCloud:
+        mask = self.fit(mask)
+        return PointCloud._canonical(self.points(self.order[mask[self.order]]), self.delta)
+
+
 def hutchinson_step(model: ModelSpec, cloud: PointCloud) -> PointCloud:
     """One application of F(A) = S_0(A) u ... u S_{N-1}(A), snapped."""
     if cloud.n == 0:
         raise ValueError("hutchinson_step needs a nonempty cloud")
-    images = [_map_points(fn, cloud.points) for fn in model.maps]
+    images = [np.asarray(fn(cloud.points), dtype=float) for fn in model.maps]
     raw = np.concatenate(images)
     model.escape_check(raw, cloud.delta)
     return PointCloud(raw, cloud.delta)
@@ -320,7 +396,7 @@ def apply_word(model: ModelSpec, word: Word, cloud: PointCloud) -> PointCloud:
     for k, sym in enumerate(word):
         if not 0 <= sym < model.n_maps:
             raise ValueError(f"symbol {sym} outside the model's {model.n_maps} maps")
-        raw = _map_points(model.maps[sym], raw)
+        raw = np.asarray(model.maps[sym](raw), dtype=float)
         model.escape_check(raw, cloud.delta, step=k + 1)
     return PointCloud(raw, cloud.delta)
 
@@ -380,79 +456,35 @@ def compute_K(
         tol = delta
     if delta > 0 and tol < delta:
         raise ValueError("tol must be at least delta")
-    current = seed if seed is not None else model.seed_cloud(delta)
+    g = _Graph(model, delta, seed.points if seed is not None else model.seeder(delta))
+    if g.n == 0:
+        raise ValueError("compute_K needs a nonempty seed")
+    current = np.ones(g.n, bool)
     monotone = model.seed_absorbing and seed is None
     residual = math.inf
     for it in range(1, maxiter + 1):
-        nxt = hutchinson_step(model, current)
-        if nxt == current:
-            return AttractorReport(nxt, it, 0.0, True)
+        nxt = g.image([(current, j) for j in range(model.n_maps)])
+        current = g.fit(current)
+        if np.array_equal(nxt, current):
+            return AttractorReport(g.cloud(nxt), it, 0.0, True)
         if monotone:
-            removed_n = current.n - nxt.n
+            n = np.count_nonzero(current)
+            removed_n = n - np.count_nonzero(nxt)
             if removed_n < 0:
                 raise RuntimeError(f"model {model.name!r}: seed_absorbing seed is not absorbing")
-            if 0 < removed_n <= max(2000, current.n // 20):
-                removed = current.difference(nxt)
-                residual = directed_distance(removed, nxt, model)
+            if 0 < removed_n <= max(2000, n // 20):
+                residual = directed_distance(g.cloud(current & ~nxt), g.cloud(nxt), model)
                 if residual <= tol:
-                    return AttractorReport(nxt, it, residual, True)
+                    return AttractorReport(g.cloud(nxt), it, residual, True)
+            elif it == maxiter:
+                # the gate skipped the last step: report its distance, not an older one
+                residual = hausdorff(g.cloud(current), g.cloud(nxt), model)
         else:
-            residual = hausdorff(current, nxt, model)
+            residual = hausdorff(g.cloud(current), g.cloud(nxt), model)
             if residual <= tol:
-                return AttractorReport(nxt, it, residual, True)
+                return AttractorReport(g.cloud(nxt), it, residual, True)
         current = nxt
-    return AttractorReport(current, maxiter, residual, False)
-
-
-def _tail_cycle(
-    model: ModelSpec,
-    w: UPString,
-    delta: float,
-    burnin: int,
-    window: int,
-    seed: PointCloud,
-) -> AttractorReport:
-    """Iterate T_k = snap(S_{w(k)}(T_{k-1})) and detect a tail cycle.
-
-    After burn-in, looks for T_{k} == T_{k+p} with p the period length of w
-    and returns the union over one cycle; without a cycle inside the window
-    the union over the window is returned with converged=False.
-    """
-    p = len(w.period)
-    recent: dict = {}
-    cloud = seed
-    total = burnin + window
-    step = 0
-    while True:
-        if step >= burnin:
-            recent[step] = cloud
-            prev = recent.get(step - p)
-            if prev is not None and prev == cloud:
-                cycle = [recent[j] for j in range(step - p, step)]
-                return AttractorReport(PointCloud.union(cycle), step, 0.0, True)
-        if step >= total:
-            break
-        raw = _map_points(model.maps[w.letter_at(step)], cloud.points)
-        model.escape_check(raw, delta, step=step + 1)
-        cloud = PointCloud(raw, delta)
-        step += 1
-    tail = [recent[j] for j in sorted(recent)]
-    if len(tail) > p:
-        residual = hausdorff(tail[-1 - p], tail[-1], model)
-    else:
-        residual = math.inf
-    return AttractorReport(PointCloud.union(tail), step, residual, False)
-
-
-def default_burnin(model: ModelSpec, delta: float, seed: PointCloud = None) -> int:
-    """10 * (diameter / delta) map applications.
-
-    Exact (delta = 0) runs have no grid scale; the seed size stands in as a
-    crude transient bound for a finite state space.
-    """
-    if delta <= 0:
-        return seed.n if seed is not None else 0
-    return int(math.ceil(10.0 * model.diameter() / delta))
+    return AttractorReport(g.cloud(current), maxiter, residual, False)
 
 
 def individual_attractor(
@@ -465,22 +497,38 @@ def individual_attractor(
 ) -> AttractorReport:
     """The per-strategy attractor A_w: union over one detected tail cycle.
 
-    The iteration runs from the seeded bounding cloud; cycles in the snapped
-    set sequence are detected with period dividing |period(w)|.
+    Iterates T_k = snap(S_{w(k)}(T_{k-1})) from the seeded bounding cloud.
+    After burn-in, looks for T_k == T_{k+p} with p the period length of w
+    and returns the union over one cycle; without a cycle inside the window
+    the union over the window is returned with converged=False.
     """
     if model.discrete:
         delta = _check_delta(model, delta)
-    else:
-        delta = float(delta)
-        if delta < 0:
-            raise ValueError("delta must be non-negative")
-    if seed is None:
-        seed = model.seed_cloud(delta)
+    g = _Graph(model, delta, seed.points if seed is not None else model.seeder(delta))
+    mask = np.ones(g.n, bool)
     if burnin is None:
-        burnin = default_burnin(model, delta, seed)
+        # 10 * diameter / delta map applications; exact runs have no grid
+        # scale, and the seed size stands in as a crude transient bound
+        burnin = math.ceil(10.0 * model.diameter() / delta) if delta > 0 else g.n
     if window is None:
         window = 4 * len(w.period)
-    return _tail_cycle(model, w, delta, burnin, window, seed)
+    p = len(w.period)
+    recent: dict = {}
+    step = 0
+    while True:
+        if step >= burnin:
+            recent[step] = mask
+            prev = recent.get(step - p)
+            if prev is not None and np.array_equal(g.fit(prev), mask):
+                cycle = np.logical_or.reduce([g.fit(recent[j]) for j in range(step - p, step)])
+                return AttractorReport(g.cloud(cycle), step, 0.0, True)
+        if step >= burnin + window:
+            break
+        mask = g.image([(mask, w.letter_at(step))], step=step + 1)
+        step += 1
+    tail = [g.fit(recent[j]) for j in sorted(recent)]
+    residual = hausdorff(g.cloud(tail[-1 - p]), g.cloud(tail[-1]), model) if len(tail) > p else math.inf
+    return AttractorReport(g.cloud(np.logical_or.reduce(tail)), step, residual, False)
 
 
 def omega_limit(

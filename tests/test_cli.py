@@ -71,6 +71,19 @@ def test_individual_bad_strategy_exits_2(tmp_path, capsys):
     assert "PRE(PER)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("attractor", "--model", "malaria", "--delta", "0"),
+        ("individual", "--model", "malaria", "--strategy", "(0)", "--delta", "0"),
+        ("slices", "--model", "malaria", "--subshift", "golden_mean", "--delta", "0"),
+    ],
+)
+def test_invalid_delta_exits_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_bad_model_exits_2(tmp_path):
     assert run_cli("attractor", "--model", "nope", "--out", str(tmp_path)) == 2
 

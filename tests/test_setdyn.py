@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from choicedyn import models
 from choicedyn.setdyn import (
@@ -17,7 +19,7 @@ from choicedyn.setdyn import (
     omega_limit,
     skew_step,
 )
-from choicedyn.symbolic import UPString, Word, shift
+from choicedyn.symbolic import UPString, Word, parse_strategy, shift
 
 
 @pytest.fixture(scope="module")
@@ -284,13 +286,12 @@ def test_dsigma_metric_hausdorff():
     assert hausdorff(a, a, model) == 0.0
 
 
-def test_thread_pool_reduction_is_canonical(monkeypatch):
+def test_compute_K_is_deterministic():
     mal = models.malaria_model()
-    base = compute_K(mal, delta=0.02)
-    monkeypatch.setenv("CHOICE_DYN_THREADS", "4")
-    threaded = compute_K(mal, delta=0.02)
-    assert threaded.cloud == base.cloud
-    assert threaded.iterations == base.iterations
+    first = compute_K(mal, delta=0.02)
+    second = compute_K(mal, delta=0.02)
+    assert second.cloud == first.cloud
+    assert second.iterations == first.iterations
 
 
 def test_maxiter_exhaustion_reports_not_converged(cantor):
@@ -298,3 +299,85 @@ def test_maxiter_exhaustion_reports_not_converged(cantor):
     assert not rep.converged
     assert rep.iterations == 2
     assert rep.residual > 1e-3
+
+
+@pytest.mark.parametrize("maxiter", [3, 10])
+def test_maxiter_exit_reports_last_step_distance(maxiter):
+    mal = models.malaria_model()
+    rep = compute_K(mal, delta=2e-3, maxiter=maxiter)
+    clouds = [mal.seed_cloud(2e-3)]
+    for _ in range(maxiter):
+        clouds.append(hutchinson_step(mal, clouds[-1]))
+    assert not rep.converged and rep.cloud == clouds[-1]
+    assert rep.residual == hausdorff(clouds[-2], clouds[-1], mal)
+
+
+def test_snapping_rejects_int64_overflow():
+    with pytest.raises(ValueError, match=r"delta=1e-14.*1e\+06"):
+        PointCloud([[1e6]], 1e-14)
+
+
+# Grid oracles: on the seed grid each map is a table node -> node (snapping
+# works point by point), so limits are properties of that finite graph.
+# They evaluate the maps and the snapping rule here, never the engine.
+
+
+def _grid_tables(model, delta):
+    """Seed-grid coordinates in lexicographic order and each map as a node table."""
+    idx = np.unique(np.ceil(model.seeder(delta) / delta - 0.5).astype(np.int64), axis=0)
+    lo, span = idx.min(axis=0), np.ptp(idx, axis=0) + 1
+    assert np.prod(span) == len(idx)  # a full box: node id = row-major index
+
+    def node(pts):
+        rel = np.ceil(np.asarray(pts) / delta - 0.5).astype(np.int64) - lo
+        assert ((rel >= 0) & (rel < span)).all()
+        return np.ravel_multi_index(tuple(rel.T), tuple(span))
+
+    coords = idx * delta
+    return coords, [node(fn(coords)) for fn in model.maps]
+
+
+def _reachable_from_cycles(tables):
+    n = len(tables[0])
+    src, dst = np.tile(np.arange(n), len(tables)), np.concatenate(tables)
+    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    _, label = connected_components(graph, directed=True, connection="strong")
+    reach = np.bincount(label)[label] > 1
+    reach[src[src == dst]] = True
+    while True:
+        grown = reach.copy()
+        grown[dst[reach[src]]] = True
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
+@pytest.mark.parametrize("name, delta", [("malaria", 0.02), ("cantor", 1e-3)])
+def test_compute_K_equals_cycle_reachable_grid_nodes(name, delta):
+    model = models.build_model(name)
+    coords, tables = _grid_tables(model, delta)
+    oracle = coords[_reachable_from_cycles(tables)]
+    assert np.array_equal(compute_K(model, delta).cloud.points, oracle)
+
+
+@pytest.mark.parametrize("text", ["(10)", "1(001)"])
+def test_individual_attractor_equals_composed_table_image(text):
+    mal, delta = models.malaria_model(), 0.02
+    w = parse_strategy(text)
+    coords, tables = _grid_tables(mal, delta)
+    cur = np.arange(len(coords))
+    for s in w.preperiod:
+        cur = np.unique(tables[s][cur])
+    composed = np.arange(len(coords))
+    for s in w.period:
+        composed = tables[s][composed]
+    for _ in range(int(np.ceil(np.log2(len(coords))))):  # past every transient
+        composed = composed[composed]
+    cur = np.unique(composed[cur])
+    union = cur
+    for s in w.period[:-1]:
+        cur = np.unique(tables[s][cur])
+        union = np.union1d(union, cur)
+    rep = individual_attractor(mal, w, delta)
+    assert rep.converged
+    assert np.array_equal(rep.cloud.points, coords[union])
