@@ -101,7 +101,6 @@ class RunConfig:
     probs: list = None
     steps: int = 100_000
     burnin: int = None
-    window: int = None
     x0: list = None
     period_bound: int = 6
 
@@ -193,7 +192,7 @@ def cmd_individual(args) -> int:
         raise ConfigError("individual needs --strategy")
     with _config_errors():
         w = parse_strategy(str(cfg.strategy))
-        report = individual_attractor(model, w, delta, burnin=cfg.burnin, window=cfg.window)
+        report = individual_attractor(model, w, delta)
     _write_cloud(cfg.out, "a_w", report.cloud, model)
     print(
         f"A_{w}: {report.cloud.n} points, {report.iterations} steps, residual {report.residual:.3e}"
@@ -204,7 +203,7 @@ def cmd_individual(args) -> int:
             K = PointCloud.from_csv(fh.read(), delta)
         print(f"containment residual A_w -> K: {directed_distance(report.cloud, K, model):.3e}")
     if not report.converged:
-        print("tail cycle not found inside the window", file=sys.stderr)
+        print("orbit did not recur within the step cap", file=sys.stderr)
         return EXIT_NOCONV
     return EXIT_OK
 

@@ -49,14 +49,13 @@ def vertex_limits(
     pres: SoficPresentation,
     delta: float,
     tol: float = None,
-    maxiter: int = 500,
+    maxiter: int = 1000,
 ) -> VertexFamily:
     """Iterate the graph-indexed set update to its fixed family.
 
     Every vertex starts at the full bounding cloud; one sweep replaces each
     C_v by the snapped union of S_j(C_u) over edges (u -j-> v).  Sweeps are
-    Jacobi-style (all vertices advance from the same snapshot), so the
-    computation parallelizes across vertices with a barrier between sweeps.
+    Jacobi-style: all vertices advance from the same snapshot.
     """
     if pres.is_empty:
         raise ValueError("presentation is empty")

@@ -9,17 +9,18 @@ bounded region terminates in exact set cycles.
 
 The engine provides the Hutchinson-Barnsley step F(A) = S_0(A) u ... u
 S_{N-1}(A), the global attractor loop, word application, per-strategy
-(individual) attractors with tail-cycle detection, omega-limit sets from a
-caller seed, and the chaos game.  Snapping works point by point, so on the
-grid each map is a fixed table node -> node: the attractor loops iterate
-boolean masks over the nodes of a lazily built transition graph (the
-set-oriented approach of GAIO) and build clouds only for results and
-residuals.
+(individual) attractors stopped at the first recurrence of their orbit,
+omega-limit sets from a caller seed, and the chaos game.  Snapping works
+point by point, so on the grid each map is a fixed table node -> node: the
+attractor loops iterate boolean masks over the nodes of a lazily built
+transition graph (the set-oriented approach of GAIO) and build clouds only
+for results and residuals.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,7 +305,6 @@ class _Graph:
         self.order = np.arange(len(self.code))
         self.keys = _decode(self.cols, self.code)
         self.succ = [np.full(len(self.code), -1) for _ in model.maps]
-        self._sparse = (None, None)  # (mask, its node ids) of the last small image
 
     @property
     def n(self) -> int:
@@ -344,7 +344,7 @@ class _Graph:
         """
         hits = []
         for mask, j in pairs:
-            live = self._sparse[1] if mask is self._sparse[0] else np.flatnonzero(mask)
+            live = np.flatnonzero(mask)
             need = live[self.succ[j][live] < 0]
             need = need[np.argsort(self.code[need])]
             for lo in range(0, len(need), _CHUNK):
@@ -357,9 +357,6 @@ class _Graph:
         out = np.zeros(self.n, bool)
         for ids in hits:
             out[ids] = True
-        if hits and sum(map(len, hits)) * 64 < self.n:
-            # a small set on a large grid: keep its node ids, sparing a full scan next step
-            self._sparse = (out, np.unique(np.concatenate(hits)))
         return out
 
     def points(self, ids: np.ndarray) -> np.ndarray:
@@ -491,44 +488,36 @@ def individual_attractor(
     model: ModelSpec,
     w: UPString,
     delta: float,
-    burnin: int = None,
-    window: int = None,
+    maxiter: int = None,
     seed: PointCloud = None,
 ) -> AttractorReport:
-    """The per-strategy attractor A_w: union over one detected tail cycle.
+    """The per-strategy attractor A_w: the union over the orbit's first recurrence.
 
-    Iterates T_k = snap(S_{w(k)}(T_{k-1})) from the seeded bounding cloud.
-    After burn-in, looks for T_k == T_{k+p} with p the period length of w
-    and returns the union over one cycle; without a cycle inside the window
-    the union over the window is returned with converged=False.
+    Iterates T_k = snap(S_{w(k-1)}(T_{k-1})) from the seeded bounding cloud
+    and stops at the first k with T_k == T_{k-p}, p the period length of w
+    and k - p past the preperiod: the orbit repeats exactly from there on,
+    so A_w is the union of T_{k-p}, ..., T_k.  Without a recurrence within
+    ``maxiter`` steps (default 10 * diameter / delta + 4p, or the seed size
+    + 4p for exact runs, which have no grid scale) the union of the last
+    p + 1 sets is returned with converged=False.
     """
     if model.discrete:
         delta = _check_delta(model, delta)
     g = _Graph(model, delta, seed.points if seed is not None else model.seeder(delta))
-    mask = np.ones(g.n, bool)
-    if burnin is None:
-        # 10 * diameter / delta map applications; exact runs have no grid
-        # scale, and the seed size stands in as a crude transient bound
-        burnin = math.ceil(10.0 * model.diameter() / delta) if delta > 0 else g.n
-    if window is None:
-        window = 4 * len(w.period)
     p = len(w.period)
-    recent: dict = {}
-    step = 0
-    while True:
-        if step >= burnin:
-            recent[step] = mask
-            prev = recent.get(step - p)
-            if prev is not None and np.array_equal(g.fit(prev), mask):
-                cycle = np.logical_or.reduce([g.fit(recent[j]) for j in range(step - p, step)])
-                return AttractorReport(g.cloud(cycle), step, 0.0, True)
-        if step >= burnin + window:
+    if maxiter is None:
+        maxiter = (math.ceil(10.0 * model.diameter() / delta) if delta > 0 else g.n) + 4 * p
+    tail = deque([np.ones(g.n, bool)], maxlen=p + 1)  # T_{k-p}, ..., T_k
+    for k in range(1, maxiter + 1):
+        tail.append(g.image([(tail[-1], w.letter_at(k - 1))], step=k))
+        if k - p >= len(w.preperiod) and np.array_equal(g.fit(tail[0]), tail[-1]):
+            converged, residual = True, 0.0
             break
-        mask = g.image([(mask, w.letter_at(step))], step=step + 1)
-        step += 1
-    tail = [g.fit(recent[j]) for j in sorted(recent)]
-    residual = hausdorff(g.cloud(tail[-1 - p]), g.cloud(tail[-1]), model) if len(tail) > p else math.inf
-    return AttractorReport(g.cloud(np.logical_or.reduce(tail)), step, residual, False)
+    else:
+        k, converged = maxiter, False
+        residual = hausdorff(g.cloud(tail[0]), g.cloud(tail[-1]), model) if len(tail) > p else math.inf
+    union = np.logical_or.reduce([g.fit(m) for m in tail])
+    return AttractorReport(g.cloud(union), k, residual, converged)
 
 
 def omega_limit(
@@ -536,12 +525,10 @@ def omega_limit(
     seed: PointCloud,
     w: UPString,
     delta: float,
-    burnin: int = None,
-    window: int = None,
+    maxiter: int = None,
 ) -> PointCloud:
     """The omega-limit set of a caller-supplied seed along strategy w."""
-    report = individual_attractor(model, w, delta, burnin=burnin, window=window, seed=seed)
-    return report.cloud
+    return individual_attractor(model, w, delta, maxiter=maxiter, seed=seed).cloud
 
 
 def chaos_game(

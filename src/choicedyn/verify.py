@@ -189,7 +189,7 @@ def c04_invariance(ctx: Context) -> CriterionResult:
     return CriterionResult("C4", "Hutchinson invariance", not problems, elapsed, detail)
 
 
-def product_graph_slice_oracle(pres: SoficPresentation, tables, u: UPString) -> frozenset:
+def product_graph_slice_oracle(pres: SoficPresentation, tables, strategies):
     """Independent slice oracle on a finite state set.
 
     Build the product graph of named states and presentation vertices with
@@ -197,6 +197,8 @@ def product_graph_slice_oracle(pres: SoficPresentation, tables, u: UPString) -> 
     A pair belongs to the restricted attractor iff it has an infinite
     backward chain (forward chains always exist in an essential graph), and
     the slice of u collects the states paired with a start vertex of u.
+    The graph is pruned once; the result maps str(u) to the slice of u for
+    every u in ``strategies``, and a single UPString gets its slice alone.
     """
     nodes = {(x, v) for x in tables[0] for v in pres.vertices}
     edges = {
@@ -211,8 +213,14 @@ def product_graph_slice_oracle(pres: SoficPresentation, tables, u: UPString) -> 
             break
         nodes -= dead
         edges = {(a, b) for (a, b) in edges if a in nodes and b in nodes}
-    starts = start_vertices(pres, u)
-    return frozenset(x for (x, v) in nodes if v in starts)
+
+    def fibre(u: UPString) -> frozenset:
+        starts = start_vertices(pres, u)
+        return frozenset(x for (x, v) in nodes if v in starts)
+
+    if isinstance(strategies, UPString):
+        return fibre(strategies)
+    return {str(u): fibre(u) for u in strategies}
 
 
 def c05_two_slices_exact(ctx: Context) -> CriterionResult:
@@ -230,11 +238,11 @@ def c05_two_slices_exact(ctx: Context) -> CriterionResult:
     family = vertex_limits(model, pres, delta=0.0)
     report = enumerate_slices(model, pres, family, period_bound=6)
     tables = (models._S0_TABLE, models._S1_TABLE)
+    oracle = product_graph_slice_oracle(pres, tables, map(parse_strategy, report.representatives))
     mismatched = sorted(
         key
         for key, i in report.representatives.items()
-        if models.label_cloud(report.slices[i])
-        != product_graph_slice_oracle(pres, tables, parse_strategy(key))
+        if models.label_cloud(report.slices[i]) != oracle[key]
     )
     elapsed = time.perf_counter() - t0
     classes = sorted({"".join(sorted(models.label_cloud(c))) for c in family.clouds.values()})
@@ -325,7 +333,7 @@ def c08_counterexample(ctx: Context) -> CriterionResult:
     problems = []
     seed = PointCloud(np.array([[1.0]]), 0.0)
     try:
-        individual_attractor(model, UPString((), (0, 1)), delta=0.0, burnin=0, window=40, seed=seed)
+        individual_attractor(model, UPString((), (0, 1)), delta=0.0, maxiter=40, seed=seed)
         problems.append("alternating strategy did not trigger the escape monitor")
         step = None
     except AssumptionViolation as exc:

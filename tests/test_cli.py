@@ -71,6 +71,13 @@ def test_individual_bad_strategy_exits_2(tmp_path, capsys):
     assert "PRE(PER)" in capsys.readouterr().err
 
 
+def test_individual_config_window_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "cantor", "delta": 0.001, "strategy": "(01)", "window": 40}))
+    assert run_cli("individual", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "window" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -69,7 +69,7 @@ def test_alternating_strategy_lies_between(malaria, K):
 def test_right_curve_endpoints_fine_grid(malaria):
     # the S0 attractor connects (0,0) to the interior fixed point
     delta = 1e-3
-    rep = individual_attractor(malaria, UPString("", "0"), delta=delta, burnin=4000)
+    rep = individual_attractor(malaria, UPString("", "0"), delta=delta)
     assert rep.converged
     for pt in models.fixed_points(models.PSET0):
         gap = float(np.min(np.linalg.norm(rep.cloud.points - np.array(pt), axis=1)))

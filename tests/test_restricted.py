@@ -162,8 +162,9 @@ def test_slices_match_product_graph_oracle(three_point, golden_even_family, text
     pres, family = golden_even_family
     u = UPString(*_split(text))
     tables = (models._S0_TABLE, models._S1_TABLE)
-    oracle = product_graph_slice_oracle(pres, tables, u)
+    oracle = product_graph_slice_oracle(pres, tables, [u])[str(u)]
     assert oracle == frozenset(expected)
+    assert product_graph_slice_oracle(pres, tables, u) == oracle
     assert models.label_cloud(slice_cloud(three_point, pres, family, u)) == oracle
 
 
@@ -201,7 +202,7 @@ def test_slices_match_oracle_on_random_presentations(three_point):
             if not start_vertices(pres, u):
                 continue
             got = models.label_cloud(slice_cloud(three_point, pres, family, u))
-            assert got == product_graph_slice_oracle(pres, tables, u)
+            assert got == product_graph_slice_oracle(pres, tables, [u])[str(u)]
             checked += 1
     assert checked >= 30
 

@@ -19,7 +19,7 @@ from choicedyn.setdyn import (
     omega_limit,
     skew_step,
 )
-from choicedyn.symbolic import UPString, Word, parse_strategy, shift
+from choicedyn.symbolic import UPString, Word, enumerate_words, parse_strategy, shift
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +181,7 @@ def test_individual_attractor_single_symbol_reduction(cantor):
 def test_individual_attractor_periodic_cycle_union(cantor):
     # (01)* alternates x/3 and x/3 + 2/3; the two-cycle 0.25 <-> 0.75 solves
     # S1(S0(x)) = x/9 + 2/3 = x and S0(S1(x)) = x/9 + 2/9 = x by hand
-    rep = individual_attractor(cantor, UPString("", "01"), delta=1e-4, burnin=200)
+    rep = individual_attractor(cantor, UPString("", "01"), delta=1e-4)
     assert rep.converged
     assert np.allclose(sorted(rep.cloud.points.ravel()), [0.25, 0.75], atol=2e-4)
 
@@ -190,12 +190,59 @@ def test_line_model_diagnostics():
     line = models.line_counterexample()
     seed = PointCloud(np.array([[1.0]]), 0.0)
     with pytest.raises(AssumptionViolation) as err:
-        individual_attractor(line, UPString("", "01"), delta=0.0, burnin=0, window=40, seed=seed)
+        individual_attractor(line, UPString("", "01"), delta=0.0, maxiter=40, seed=seed)
     assert err.value.step <= 25
     for j in (0, 1):
         rep = individual_attractor(line, UPString("", str(j)), delta=0.0)
         assert rep.converged
         assert np.max(np.abs(rep.cloud.points)) <= 1e-9
+
+
+def test_individual_attractor_waits_out_the_preperiod(three_point):
+    # the orbit is {A,B,C}, then {B,C} for all four 0s, then {A,B} under 1 for
+    # good: the repeats of {B,C} inside the preperiod are no cycle of w
+    rep = individual_attractor(three_point, parse_strategy("0000(1)"), 0.0)
+    assert rep.converged
+    assert models.label_cloud(rep.cloud) == frozenset("AB")
+
+
+def test_individual_attractor_stops_at_recurrence_on_the_line():
+    # 10 * diameter / delta would be 4e7 steps on the unbounded line model
+    rep = individual_attractor(models.line_counterexample(), UPString("", "1"), delta=0.5)
+    assert rep.converged
+    assert rep.iterations <= 5
+    assert rep.cloud.points.ravel().tolist() == [0.0]
+
+
+def _set_orbit_limit(tables, start, w):
+    """A_w of a finite model by brute force: walk the orbit of label sets until
+    a (set, position in the period) state recurs past the preperiod, and
+    unite the sets of that cycle."""
+    first, history, cur, k = {}, [], frozenset(start), 0
+    while True:
+        if k >= len(w.preperiod):
+            state = (cur, (k - len(w.preperiod)) % len(w.period))
+            if state in first:
+                return frozenset().union(*history[first[state]:])
+            first[state] = k
+        history.append(cur)
+        cur = frozenset(tables[w.letter_at(k)][x] for x in cur)
+        k += 1
+
+
+def test_individual_attractor_matches_set_orbit_on_three_point(three_point):
+    tables = (models._S0_TABLE, models._S1_TABLE)
+    strategies = {
+        UPString(pre.letters, per.letters)
+        for pre_len in range(6)
+        for per_len in range(1, 4)
+        for pre in enumerate_words(2, pre_len)
+        for per in enumerate_words(2, per_len)
+    }
+    for w in strategies:
+        rep = individual_attractor(three_point, w, 0.0)
+        assert rep.converged, w
+        assert models.label_cloud(rep.cloud) == _set_orbit_limit(tables, "ABC", w), w
 
 
 def test_omega_limit_examples(three_point):
@@ -360,7 +407,7 @@ def test_compute_K_equals_cycle_reachable_grid_nodes(name, delta):
     assert np.array_equal(compute_K(model, delta).cloud.points, oracle)
 
 
-@pytest.mark.parametrize("text", ["(10)", "1(001)"])
+@pytest.mark.parametrize("text", ["(10)", "1(001)", "(0111)", "000(100)"])
 def test_individual_attractor_equals_composed_table_image(text):
     mal, delta = models.malaria_model(), 0.02
     w = parse_strategy(text)
