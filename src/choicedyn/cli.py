@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Commands: attractor | individual | slices | chaos | verify | render.
-Configuration comes from an optional JSON file plus flag overrides (flags
-win).  Exit codes: 0 success, 2 configuration error, 3 non-convergence,
-4 assumption violation.
+Commands: attractor | individual | slices | chaos | verify | render, each
+reading only the settings listed in ``_COMMANDS``.  Configuration comes from
+an optional JSON file plus flag overrides (flags win).  Exit codes: 0
+success, 2 configuration error, 3 non-convergence, 4 assumption violation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import models, verify
 from .restricted import enumerate_slices, save_slice_report, vertex_limits, verify_decomposition
@@ -48,19 +48,19 @@ def _config_errors():
         raise ConfigError(str(exc))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--model", help=f"model name, one of {', '.join(models.MODEL_NAMES)}")
-    p.add_argument(
-        "--delta", type=float, help="grid resolution (default 0.01; discrete models use 0)"
-    )
-    p.add_argument("--tol", type=float, help="convergence tolerance (default: delta)")
-    p.add_argument("--maxiter", type=int, help="iteration cap (default 1000)")
-    p.add_argument("--strategy", help='strategy string "PRE(PER)", e.g. "(10)"')
-    p.add_argument("--subshift", help="builtin presentation name or a graph text file")
-    p.add_argument("--out", default="out", help="output directory (default ./out)")
-    p.add_argument("--seed", type=int, help="RNG seed for the chaos game")
-    p.add_argument("--only", help="run a single acceptance criterion, e.g. C3")
+# flags by the setting they set; a command has --config, --out and the flags of what it reads
+_FLAGS = {
+    "config": dict(help="JSON config file; flags override its entries"),
+    "out": dict(help="output directory (default ./out)"),
+    "model": dict(help=f"model name, one of {', '.join(models.MODEL_NAMES)}"),
+    "delta": dict(type=float, help="grid resolution (default 0.01; discrete models use 0)"),
+    "tol": dict(type=float, help="convergence tolerance (default: delta)"),
+    "maxiter": dict(type=int, help="iteration cap (default 1000)"),
+    "strategy": dict(help='strategy string "PRE(PER)", e.g. "(10)"'),
+    "subshift": dict(help="builtin presentation name or a graph text file"),
+    "seed": dict(type=int, help="RNG seed for the chaos game"),
+    "only": dict(help="run a single acceptance criterion, e.g. C3"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,16 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Attractors for discrete-time dynamics with choice.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("attractor", "compute the global attractor cloud K and write k.csv/k.svg"),
-        ("individual", "compute the individual attractor A_w for --strategy"),
-        ("slices", "compute restricted-choice slices for --subshift"),
-        ("chaos", "run the chaos game and report the observable average"),
-        ("verify", "run the acceptance criteria and write verify.json"),
-        ("render", "re-render a point-cloud CSV as an SVG scatter"),
-    ):
+    for name, (_, doc, reads) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
+        for key in (k for k in _FLAGS if k in ("config", "out", *reads)):
+            p.add_argument(f"--{key}", **_FLAGS[key])
         if name == "render":
             p.add_argument("csv", help="input CSV file")
     return parser
@@ -112,18 +106,14 @@ class RunConfig:
                 data = models.load_config(args.config)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot load config {args.config!r}: {exc}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        reads = {"out", *_COMMANDS[args.command][2]}
+        unknown = set(data) - reads
         if unknown:
-            raise ConfigError(f"unknown config entries: {sorted(unknown)}")
-        for key in ("model", "delta", "tol", "maxiter", "strategy", "subshift", "seed", "only"):
+            raise ConfigError(f"unknown config entries for {args.command}: {sorted(unknown)}")
+        for key in reads:
             val = getattr(args, key, None)
             if val is not None:
                 data[key] = val
-        if getattr(args, "out", None) is not None:
-            data.setdefault("out", args.out)
-            if args.out != "out":
-                data["out"] = args.out
         return cls(**data)
 
 
@@ -254,13 +244,8 @@ def cmd_chaos(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = RunConfig.load(args)
-    kwargs = {}
-    if "pset0" in cfg.params:
-        kwargs["pset0"] = models.MalariaParams(**cfg.params["pset0"], dt=cfg.params.get("dt", 0.05))
-    if "pset1" in cfg.params:
-        kwargs["pset1"] = models.MalariaParams(**cfg.params["pset1"], dt=cfg.params.get("dt", 0.05))
     with _config_errors():
-        ctx = verify.Context(**kwargs)
+        ctx = verify.Context(*models.malaria_psets(cfg.params))
         results = verify.run(only=cfg.only, ctx=ctx, echo=print)
     os.makedirs(cfg.out, exist_ok=True)
     with open(os.path.join(cfg.out, "verify.json"), "w", encoding="utf-8") as fh:
@@ -276,6 +261,8 @@ def cmd_render(args) -> int:
             cloud = PointCloud.from_csv(fh.read(), cfg.delta if cfg.delta is not None else 0.0)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {args.csv!r}: {exc}")
+    if cloud.n == 0:
+        raise ConfigError(f"{args.csv!r} holds no points")
     os.makedirs(cfg.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.csv))[0]
     out_path = os.path.join(cfg.out, f"{stem}.svg")
@@ -284,20 +271,25 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+# command -> (handler, help line, settings it reads besides out); it rejects the others
 _COMMANDS = {
-    "attractor": cmd_attractor,
-    "individual": cmd_individual,
-    "slices": cmd_slices,
-    "chaos": cmd_chaos,
-    "verify": cmd_verify,
-    "render": cmd_render,
+    "attractor": (cmd_attractor, "compute the global attractor cloud K and write k.csv/k.svg",
+                  ("model", "params", "delta", "tol", "maxiter")),
+    "individual": (cmd_individual, "compute the individual attractor A_w for --strategy",
+                   ("model", "params", "delta", "strategy")),
+    "slices": (cmd_slices, "compute restricted-choice slices for --subshift",
+               ("model", "params", "delta", "tol", "maxiter", "subshift", "period_bound")),
+    "chaos": (cmd_chaos, "run the chaos game and report the observable average",
+              ("model", "params", "delta", "seed", "probs", "steps", "burnin", "x0")),
+    "verify": (cmd_verify, "run the acceptance criteria and write verify.json", ("params", "only")),
+    "render": (cmd_render, "re-render a point-cloud CSV as an SVG scatter", ("delta",)),
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
         return handler(args)
     except ConfigError as exc:

@@ -428,33 +428,42 @@ def submodel(model: ModelSpec, j: int) -> ModelSpec:
     )
 
 
-def _build_malaria(params: dict) -> ModelSpec:
-    dt = params.get("dt", 0.05)
-    ps0 = params.get("pset0", {"a": 4, "b": 6, "r": 1, "m": 2})
-    ps1 = params.get("pset1", {"a": 2, "b": 10, "r": 3, "m": 2})
-    return malaria_model(MalariaParams(**ps0, dt=dt), MalariaParams(**ps1, dt=dt))
+def malaria_psets(params: dict) -> tuple:
+    """(pset0, pset1) from params {"dt", "pset0", "pset1"}; a set left out is PSET0 resp. PSET1."""
+    if set(params) - {"dt", "pset0", "pset1"}:
+        raise ValueError(f"malaria reads only params ['dt', 'pset0', 'pset1'], got {sorted(params)}")
+    dt = params.get("dt", PSET0.dt)
+    try:
+        return tuple(
+            MalariaParams(**params[key], dt=dt) if key in params else replace(default, dt=dt)
+            for key, default in (("pset0", PSET0), ("pset1", PSET1))
+        )
+    except TypeError as exc:
+        raise ValueError(f"malaria params: {exc}") from None
+
+
+# model name -> (params keys it reads, builder from params)
+_BUILDERS = {
+    "malaria": (("dt", "pset0", "pset1"), lambda p: malaria_model(*malaria_psets(p))),
+    "malaria0": (("dt", "pset0"), lambda p: malaria_single(malaria_psets(p)[0])),
+    "cantor": ((), lambda p: cantor_model()),
+    "line": (("radius",), lambda p: line_counterexample(radius=p.get("radius", LINE_RADIUS))),
+    "gestalt": (("depth",), lambda p: gestalt_model(GestaltConfig(depth=p.get("depth", 12)))),
+    "three_point": ((), lambda p: three_point_model()),
+}
+MODEL_NAMES = tuple(_BUILDERS)
+_BUILDERS["malaria_single"] = _BUILDERS["malaria0"]  # an alias, left out of MODEL_NAMES
 
 
 def build_model(name: str, params: dict = None) -> ModelSpec:
-    params = dict(params or {})
     key = name.strip().lower()
-    if key == "malaria":
-        return _build_malaria(params)
-    if key in ("malaria0", "malaria_single"):
-        pset = params.get("pset0", {"a": 4, "b": 6, "r": 1, "m": 2})
-        return malaria_single(MalariaParams(**pset, dt=params.get("dt", 0.05)))
-    if key == "cantor":
-        return cantor_model()
-    if key == "line":
-        return line_counterexample(radius=params.get("radius", LINE_RADIUS))
-    if key == "gestalt":
-        return gestalt_model(GestaltConfig(depth=params.get("depth", 12)))
-    if key == "three_point":
-        return three_point_model()
-    raise ValueError(f"unknown model {name!r}")
-
-
-MODEL_NAMES = ("malaria", "malaria0", "cantor", "line", "gestalt", "three_point")
+    if key not in _BUILDERS:
+        raise ValueError(f"unknown model {name!r}")
+    reads, build = _BUILDERS[key]
+    params = dict(params or {})
+    if set(params) - set(reads):
+        raise ValueError(f"model {key!r} reads only params {list(reads)}, got {sorted(params)}")
+    return build(params)
 
 
 def from_config(cfg: dict) -> ModelSpec:

@@ -9,7 +9,7 @@ and shared between criteria.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,9 +46,8 @@ class CriterionResult:
 class Context:
     """Lazily computed shared artifacts; malaria parameters may be overridden."""
 
-    def __init__(self, pset0: models.MalariaParams = None, pset1: models.MalariaParams = None):
-        self.pset0 = pset0 if pset0 is not None else models.PSET0
-        self.pset1 = pset1 if pset1 is not None else models.PSET1
+    def __init__(self, pset0: models.MalariaParams = models.PSET0, pset1: models.MalariaParams = models.PSET1):
+        self.pset0, self.pset1 = pset0, pset1
         self._cache: dict = {}
 
     def _get(self, key, builder):
@@ -90,12 +89,10 @@ class Context:
         # the criterion on restricted dynamics pins delta, not the time step;
         # dt = 0.005 (the finer of the two bundled steps) satisfies its gap,
         # while at dt = 0.05 the true gap sits near 8.5*delta (see ledger)
-        def build():
-            p0 = models.MalariaParams(self.pset0.a, self.pset0.b, self.pset0.r, self.pset0.m, dt=0.005)
-            p1 = models.MalariaParams(self.pset1.a, self.pset1.b, self.pset1.r, self.pset1.m, dt=0.005)
-            return models.malaria_model(p0, p1)
-
-        return self._get("malaria_slow", build)
+        return self._get(
+            "malaria_slow",
+            lambda: models.malaria_model(replace(self.pset0, dt=0.005), replace(self.pset1, dt=0.005)),
+        )
 
     def malaria_slow_K(self):
         return self._get("malaria_slow_K", lambda: compute_K(self.malaria_slow, delta=0.01, maxiter=3000))

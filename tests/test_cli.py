@@ -221,3 +221,86 @@ def test_verify_detects_corrupted_params(tmp_path, capsys):
     assert code == 1
     printed = capsys.readouterr().out
     assert "FAIL" in printed and "11/15" in printed
+
+
+# What each command reads besides --config/--out; the CLI rejects everything else.
+READS = {
+    "attractor": {"model", "params", "delta", "tol", "maxiter"},
+    "individual": {"model", "params", "delta", "strategy"},
+    "slices": {"model", "params", "delta", "tol", "maxiter", "subshift", "period_bound"},
+    "chaos": {"model", "params", "delta", "seed", "probs", "steps", "burnin", "x0"},
+    "verify": {"params", "only"},
+    "render": {"delta"},
+}
+FLAGS = ("model", "delta", "tol", "maxiter", "strategy", "subshift", "seed", "only")
+CONFIG_VALUES = {
+    "model": "cantor", "params": {}, "delta": 0.1, "tol": 0.1, "maxiter": 5, "strategy": "(0)",
+    "subshift": "golden_mean", "seed": 1, "only": "C2", "probs": [0.5, 0.5], "steps": 10,
+    "burnin": 1, "x0": [0.5], "period_bound": 2,
+}
+
+
+def _positional(command, tmp_path):
+    return [str(tmp_path / "k.csv")] if command == "render" else []
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c in READS for f in FLAGS if f not in READS[c]]
+)
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, command, flag):
+    argv = [command, *_positional(command, tmp_path), f"--{flag}", "1", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command,entry", [(c, e) for c in READS for e in CONFIG_VALUES if e not in READS[c]]
+)
+def test_config_entry_a_command_does_not_read_exits_2(tmp_path, capsys, command, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({entry: CONFIG_VALUES[entry]}))
+    argv = [command, *_positional(command, tmp_path), "--config", str(cfg), "--out", str(tmp_path)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config entries for {command}" in err and repr(entry) in err
+
+
+def test_out_flag_beats_config_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"model": "cantor", "delta": 0.01, "out": "elsewhere"}))
+    assert run_cli("attractor", "--config", "cfg.json", "--out", "out") == 0
+    assert (tmp_path / "out" / "k.csv").exists()
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_params_a_model_does_not_read_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "malaria", "params": {"depth": 3}, "delta": 0.1}))
+    assert run_cli("attractor", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"pset0": {"a": -1, "b": 1, "r": 10, "m": 10}},
+        {"pset0": {"a": 4, "b": 6, "r": 1, "mm": 2}},
+        {"pset1": {"a": 2, "b": 10, "r": 3}},
+        {"depth": 12},
+    ],
+)
+def test_verify_bad_malaria_params_exit_2(tmp_path, capsys, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params}))
+    assert run_cli("verify", "--config", str(cfg), "--only", "C2", "--out", str(tmp_path)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
+def test_render_empty_csv_exits_2(tmp_path, capsys):
+    csv = tmp_path / "empty.csv"
+    csv.write_text("x0,x1\n")
+    assert run_cli("render", str(csv), "--out", str(tmp_path)) == 2
+    assert "empty.csv" in capsys.readouterr().err
+    assert not (tmp_path / "empty.svg").exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicedyn import models
 from choicedyn.setdyn import PointCloud, compute_K, individual_attractor
@@ -156,3 +158,51 @@ def test_submodel_matches_pset0_dynamics():
     assert np.array_equal(sub.maps[0](pts), mal.maps[0](pts))
     with pytest.raises(ValueError):
         models.submodel(mal, 5)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("malaria", {"depth": 3}),
+        ("malaria0", {"pset1": {"a": 2, "b": 10, "r": 3, "m": 2}}),
+        ("cantor", {"dt": 0.05}),
+        ("line", {"depth": 12}),
+        ("gestalt", {"radius": 1.0}),
+        ("three_point", {"dt": 0.05}),
+    ],
+)
+def test_build_model_rejects_params_it_does_not_read(name, params):
+    with pytest.raises(ValueError, match="reads only params"):
+        models.build_model(name, params)
+
+
+def test_malaria_psets_defaults_and_dt():
+    assert models.malaria_psets({}) == (models.PSET0, models.PSET1)
+    p0, p1 = models.malaria_psets({"dt": 0.01, "pset1": {"a": 1, "b": 2, "r": 3, "m": 4}})
+    assert p0 == models.MalariaParams(4, 6, 1, 2, dt=0.01)
+    assert p1 == models.MalariaParams(1, 2, 3, 4, dt=0.01)
+    for bad in ({"pset0": {"a": 4, "b": 6, "r": 1}}, {"pset0": {"a": 4, "b": 6, "r": 1, "m": 2, "dt": 0.1}}):
+        with pytest.raises(ValueError):
+            models.malaria_psets(bad)
+
+
+def _in_region_points(model, name):
+    """Hypothesis points inside the model's region, as the chaos game feeds them."""
+    if name == "three_point":
+        return st.sampled_from(sorted(models.THREE_POINTS.values()))
+    if name == "gestalt":
+        return st.integers(0, 2 ** model.meta["depth"] - 1).map(float)
+    coords = [st.floats(lo, hi, allow_nan=False) for lo, hi in zip(model.lower, model.upper)]
+    return st.tuples(*coords) if model.dim > 1 else coords[0]
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_vector_and_scalar_maps_agree_exactly(name, data):
+    model = models.build_model(name)
+    pts = data.draw(st.lists(_in_region_points(model, name), min_size=1, max_size=50))
+    arr = np.array(pts, dtype=float).reshape(len(pts), model.dim)
+    for j in range(model.n_maps):
+        scalar = np.array([model.scalar_maps[j](p) for p in pts], dtype=float).reshape(arr.shape)
+        assert np.array_equal(model.maps[j](arr), scalar), (name, j)

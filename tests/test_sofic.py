@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from choicedyn.sofic import (
     SoficPresentation,
@@ -167,3 +169,24 @@ def test_empty_intersection_allowed():
     assert language(prod, 4) == set()
     with pytest.raises(ValueError):
         intersect(only0, builtin("full_shift", 3))
+
+
+edge_lines = st.tuples(
+    st.sampled_from(["p", "q", "r", "#c"]),
+    st.sampled_from(["0", "1", "2", "-1", "+1", "٣", "x"]),
+    st.sampled_from(["p", "q", "r"]),
+).map(" ".join)
+graph_texts = st.one_of(
+    st.text(),
+    st.lists(edge_lines).map("\n".join),
+    st.lists(st.one_of(edge_lines, st.text(max_size=6))).map("\n".join),
+)
+
+
+@given(text=graph_texts)
+def test_from_text_fuzz_round_trip(text):
+    try:
+        pres = SoficPresentation.from_text(text)
+    except ValueError:
+        return
+    assert SoficPresentation.from_text(pres.to_text(), n_symbols=pres.n_symbols) == pres

@@ -124,3 +124,32 @@ def test_exponent_is_exact_power_of_two(u, v):
         assert d_sigma(u, v) == math.ldexp(1.0, -m)
         assert u.prefix(m - 1) == v.prefix(m - 1)
         assert u.prefix(m) != v.prefix(m)
+
+
+# arbitrary text, and near-misses of "PRE(PER)" (with a non-ASCII digit)
+digit_texts = st.text(alphabet="0123٣", max_size=5)
+strategy_texts = st.one_of(
+    st.text(),
+    st.tuples(
+        st.sampled_from(["", " ", "x"]), digit_texts, st.sampled_from(["(", ""]),
+        digit_texts, st.sampled_from([")", "", ")x", ")\n"]),
+    ).map("".join),
+)
+
+
+@given(text=strategy_texts)
+def test_parse_text_fuzz_round_trip(text):
+    try:
+        parsed = parse_text(text)
+    except ValueError:
+        return
+    assert parse_text(str(parsed)) == parsed
+
+
+@given(text=strategy_texts)
+def test_parse_strategy_fuzz_round_trip(text):
+    try:
+        w = parse_strategy(text)
+    except ValueError:
+        return
+    assert parse_strategy(str(w)) == w
