@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -53,7 +54,8 @@ _FLAGS = {
     "config": dict(help="JSON config file; flags override its entries"),
     "out": dict(help="output directory (default ./out)"),
     "model": dict(help=f"model name, one of {', '.join(models.MODEL_NAMES)}"),
-    "delta": dict(type=float, help="grid resolution (default 0.01; discrete models use 0)"),
+    "delta": dict(type=float, help="grid resolution (default 0.01 for continuous models; 0, exact, "
+                                     "for discrete models and for render)"),
     "tol": dict(type=float, help="convergence tolerance (default: delta)"),
     "maxiter": dict(type=int, help="iteration cap (default 1000)"),
     "strategy": dict(help='strategy string "PRE(PER)", e.g. "(10)"'),
@@ -110,6 +112,11 @@ class RunConfig:
         unknown = set(data) - reads
         if unknown:
             raise ConfigError(f"unknown config entries for {args.command}: {sorted(unknown)}")
+        types = typing.get_type_hints(cls)  # the field annotations are the table of entry types
+        for key, val in data.items():
+            want = types[key]
+            if isinstance(val, bool) or not isinstance(val, (int, float) if want is float else want):
+                raise ConfigError(f"config entry {key!r} must be a JSON {want.__name__}, got {val!r}")
         for key in reads:
             val = getattr(args, key, None)
             if val is not None:
@@ -134,11 +141,11 @@ def _subshift_from(cfg: RunConfig, n_symbols: int) -> SoficPresentation:
     name = cfg.subshift
     if not name:
         raise ConfigError("no subshift selected; pass --subshift NAME|PATH")
-    if os.path.exists(name):
-        with open(name, "r", encoding="utf-8") as fh:
-            pres = SoficPresentation.from_text(fh.read(), n_symbols=n_symbols)
-    else:
-        with _config_errors():
+    with _config_errors():
+        if os.path.exists(name):
+            with open(name, "r", encoding="utf-8") as fh:
+                pres = SoficPresentation.from_text(fh.read(), n_symbols=n_symbols)
+        else:
             pres = builtin(name, n_symbols=n_symbols)
     if pres.is_empty:
         raise ConfigError(f"subshift {name!r} is empty")

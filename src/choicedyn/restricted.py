@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .setdyn import ModelSpec, PointCloud, _Graph, hausdorff
+from .setdyn import ModelSpec, PointCloud, _Graph, _recurrence, hausdorff
 from .sofic import SoficPresentation, start_vertices
 from .symbolic import UPString, enumerate_words
 
@@ -32,13 +32,13 @@ class VertexFamily:
 
     presentation: SoficPresentation
     clouds: dict
-    converged: dict
-    residuals: dict
+    converged: bool
+    residual: float
     iterations: int
 
     @property
     def all_converged(self) -> bool:
-        return all(self.converged.values())
+        return self.converged
 
     def union(self) -> PointCloud:
         return PointCloud.union(self.clouds.values())
@@ -55,43 +55,31 @@ def vertex_limits(
 
     Every vertex starts at the full bounding cloud; one sweep replaces each
     C_v by the snapped union of S_j(C_u) over edges (u -j-> v).  Sweeps are
-    Jacobi-style: all vertices advance from the same snapshot.
+    Jacobi-style: all vertices advance from the same snapshot, up to the
+    family's first recurrence or, from an absorbing seed, a sweep that
+    moves no vertex cloud by more than ``tol`` (default: delta).
     """
     if pres.is_empty:
         raise ValueError("presentation is empty")
     if tol is None:
         tol = float(delta)
     g = _Graph(model, delta, model.seeder(delta))
-    incoming = {v: [] for v in pres.vertices}
-    for src, sym, dst in pres.edges:
-        incoming[dst].append((src, sym))
-    for edges in incoming.values():
-        edges.sort()
-    masks = dict.fromkeys(pres.vertices, np.ones(g.n, bool))
-    residuals = {v: float("inf") for v in pres.vertices}
-    converged = {v: False for v in pres.vertices}
-    sweep = 0
-    while sweep < maxiter and not all(converged.values()):
-        sweep += 1
-        # a vertex without live incoming edges gets the empty set: no long word ends there
-        fresh = {
-            v: g.image([(masks[src], sym) for src, sym in edges], step=sweep)
-            for v, edges in incoming.items()
-        }
-        for v in pres.vertices:
-            new, old = g.fit(fresh[v]), g.fit(masks[v])
-            if np.array_equal(new, old):
-                residuals[v] = 0.0
-                converged[v] = True
-            elif not new.any() or not old.any():
-                residuals[v] = float("inf")
-                converged[v] = False
-            else:
-                residuals[v] = hausdorff(g.cloud(new), g.cloud(old), model)
-                converged[v] = residuals[v] <= tol
-        masks = fresh
-    clouds = {v: g.cloud(masks[v]) for v in pres.vertices}
-    return VertexFamily(pres, clouds, converged, residuals, sweep)
+    # a vertex without live incoming edges gets the empty set: no long word ends there
+    incoming = [[(pres.vertices.index(u), j) for u, j, dst in sorted(pres.edges) if dst == v] for v in pres.vertices]
+
+    def sweep(k, masks):
+        return tuple(g.image([(masks[u], j) for u, j in edges], step=k) for edges in incoming)
+
+    def early(prev, masks):  # from an absorbing seed: no vertex cloud moved by more than tol
+        residual = max(map(g.distance, masks, prev))
+        return residual if residual <= tol else None
+
+    states, k, residual, converged = _recurrence(
+        g, sweep, (np.ones(g.n, bool),) * len(pres.vertices), maxiter=maxiter,
+        early=early if model.seed_absorbing else None,
+    )
+    clouds = {v: g.cloud(*m) for v, m in zip(pres.vertices, zip(*(states if converged else states[-1:])))}
+    return VertexFamily(pres, clouds, converged, residual, k)
 
 
 def slice_cloud(
@@ -118,22 +106,16 @@ class SliceReport:
     a_sets: tuple
 
 
-def _membership_tolerance(delta: float) -> float:
-    return delta * (1.0 + 1e-9) + 1e-12 if delta > 0 else 0.0
-
-
 def _decomposition_sets(model: ModelSpec, k_lambda: PointCloud, delta: float):
-    tol = _membership_tolerance(delta)
     sets = []
     for fn in model.maps:
         images = np.asarray(fn(k_lambda.points), dtype=float)
-        if delta > 0:
+        if delta > 0:  # images within delta of K_Lambda, up to rounding
             dist, _ = cKDTree(k_lambda.points).query(images, k=1, workers=-1)
-            mask = dist <= tol
+            mask = dist <= delta * (1.0 + 1e-9) + 1e-12
         else:
             mask = k_lambda.contains_points(images)
-        pts = k_lambda.points[mask] if mask.any() else np.empty((0, k_lambda.dim))
-        sets.append(PointCloud(pts, delta))
+        sets.append(PointCloud(k_lambda.points[mask], delta))
     return tuple(sets)
 
 

@@ -9,18 +9,17 @@ bounded region terminates in exact set cycles.
 
 The engine provides the Hutchinson-Barnsley step F(A) = S_0(A) u ... u
 S_{N-1}(A), the global attractor loop, word application, per-strategy
-(individual) attractors stopped at the first recurrence of their orbit,
-omega-limit sets from a caller seed, and the chaos game.  Snapping works
-point by point, so on the grid each map is a fixed table node -> node: the
-attractor loops iterate boolean masks over the nodes of a lazily built
-transition graph (the set-oriented approach of GAIO) and build clouds only
-for results and residuals.
+(individual) attractors, omega-limit sets from a caller seed, and the chaos
+game.  Snapping works point by point, so on the grid each map is a fixed
+table node -> node: K, A_w and the vertex families of ``restricted`` are
+orbits of boolean masks over one lazily built transition graph (the
+set-oriented approach of GAIO), run by one loop to their first recurrence.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,9 +362,44 @@ class _Graph:
         keys = self.keys[ids]
         return keys * self.delta if self.delta > 0 else keys
 
-    def cloud(self, mask: np.ndarray) -> PointCloud:
-        mask = self.fit(mask)
+    def cloud(self, *masks: np.ndarray) -> PointCloud:
+        """The cloud of the union of the masks."""
+        mask = np.logical_or.reduce([self.fit(m) for m in masks])
         return PointCloud._canonical(self.points(self.order[mask[self.order]]), self.delta)
+
+    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Hausdorff distance of two masks: 0 when equal, inf when just one is empty."""
+        a, b = self.fit(a), self.fit(b)
+        if np.array_equal(a, b):
+            return 0.0
+        if not a.any() or not b.any():
+            return math.inf
+        return hausdorff(self.cloud(a), self.cloud(b), self.model)
+
+
+def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter: int = 1000, early=None):
+    """Orbit s_k = step(k, s_{k-1}) of a tuple of masks over g: (states, k, residual, converged).
+
+    Past ``pre``, s_k is keyed by its phase (k - pre) mod p and digests of its
+    masks without the zero bytes that pad older, shorter masks.  The first key
+    seen before, at i, ends the run with the cycle s_i ... s_{k-1}, replayed
+    from s_k on the filled successor tables.  A residual from ``early(s_{k-1},
+    s_k)`` ends it at s_k; ``maxiter`` unconverged at the last p + 1 states.
+    """
+    tail, seen = [start], {}
+    for k in range(maxiter + 1):
+        if k:
+            tail = tail[-p:] + [step(k, tail[-1])]
+        key = ((k - pre) % p, *(hashlib.blake2b(np.packbits(m).tobytes().rstrip(b"\0")).digest() for m in tail[-1]))
+        if k >= pre and (i := seen.setdefault(key, k)) < k:
+            for j in range(k + 1, 2 * k - i):
+                tail.append(step(j, tail[-1]))
+            return tail[i - k :], k, 0.0, True
+        residual = early(tail[-2], tail[-1]) if k and early else None
+        if residual is not None:
+            return tail[-1:], k, residual, True
+    residual = max(map(g.distance, tail[0], tail[-1])) if len(tail) > p else math.inf
+    return tail, maxiter, residual, False
 
 
 def hutchinson_step(model: ModelSpec, cloud: PointCloud) -> PointCloud:
@@ -444,9 +478,9 @@ def compute_K(
 ) -> AttractorReport:
     """Iterate the Hutchinson-Barnsley step from the seeded bounding cloud.
 
-    Stops when the cloud equals its successor (exact cycle on the grid), or
-    when the Hausdorff step distance drops to ``tol`` (default: delta, the
-    tightest admissible), or at ``maxiter`` with converged=False.
+    Stops at the orbit's first recurrence with the union of its cycle, from
+    the absorbing seed also once a step removes points at most ``tol``
+    (default: delta) from the rest, or at ``maxiter`` with the last cloud.
     """
     delta = _check_delta(model, delta)
     if tol is None:
@@ -456,32 +490,23 @@ def compute_K(
     g = _Graph(model, delta, seed.points if seed is not None else model.seeder(delta))
     if g.n == 0:
         raise ValueError("compute_K needs a nonempty seed")
-    current = np.ones(g.n, bool)
-    monotone = model.seed_absorbing and seed is None
-    residual = math.inf
-    for it in range(1, maxiter + 1):
-        nxt = g.image([(current, j) for j in range(model.n_maps)])
-        current = g.fit(current)
-        if np.array_equal(nxt, current):
-            return AttractorReport(g.cloud(nxt), it, 0.0, True)
-        if monotone:
-            n = np.count_nonzero(current)
-            removed_n = n - np.count_nonzero(nxt)
-            if removed_n < 0:
-                raise RuntimeError(f"model {model.name!r}: seed_absorbing seed is not absorbing")
-            if 0 < removed_n <= max(2000, n // 20):
-                residual = directed_distance(g.cloud(current & ~nxt), g.cloud(nxt), model)
-                if residual <= tol:
-                    return AttractorReport(g.cloud(nxt), it, residual, True)
-            elif it == maxiter:
-                # the gate skipped the last step: report its distance, not an older one
-                residual = hausdorff(g.cloud(current), g.cloud(nxt), model)
-        else:
-            residual = hausdorff(g.cloud(current), g.cloud(nxt), model)
-            if residual <= tol:
-                return AttractorReport(g.cloud(nxt), it, residual, True)
-        current = nxt
-    return AttractorReport(g.cloud(current), maxiter, residual, False)
+
+    def early(prev, state):  # from the absorbing seed: the removed points' distance, when few
+        old, new = g.fit(prev[0]), state[0]
+        n = np.count_nonzero(old)
+        removed_n = n - np.count_nonzero(new)
+        if removed_n < 0:
+            raise RuntimeError(f"model {model.name!r}: seed_absorbing seed is not absorbing")
+        if 0 < removed_n <= max(2000, n // 20):
+            residual = directed_distance(g.cloud(old & ~new), g.cloud(new), model)
+            return residual if residual <= tol else None
+
+    states, k, residual, converged = _recurrence(
+        g, lambda k, s: (g.image([(s[0], j) for j in range(model.n_maps)]),), (np.ones(g.n, bool),),
+        maxiter=maxiter, early=early if model.seed_absorbing and seed is None else None,
+    )
+    masks = [s[0] for s in (states if converged else states[-1:])]
+    return AttractorReport(g.cloud(*masks), k, residual, converged)
 
 
 def individual_attractor(
@@ -491,33 +516,25 @@ def individual_attractor(
     maxiter: int = None,
     seed: PointCloud = None,
 ) -> AttractorReport:
-    """The per-strategy attractor A_w: the union over the orbit's first recurrence.
+    """The per-strategy attractor A_w: the union over the orbit's cycle.
 
     Iterates T_k = snap(S_{w(k-1)}(T_{k-1})) from the seeded bounding cloud
-    and stops at the first k with T_k == T_{k-p}, p the period length of w
-    and k - p past the preperiod: the orbit repeats exactly from there on,
-    so A_w is the union of T_{k-p}, ..., T_k.  Without a recurrence within
-    ``maxiter`` steps (default 10 * diameter / delta + 4p, or the seed size
-    + 4p for exact runs, which have no grid scale) the union of the last
-    p + 1 sets is returned with converged=False.
+    and stops at the first k past the preperiod with T_k == T_i, i < k at the
+    same position in the period: A_w is the union of T_i, ..., T_{k-1}.
+    Without a recurrence within ``maxiter`` steps (default 10 * diameter /
+    delta, or the seed size at delta = 0, plus |preperiod| + 4p, p the
+    period length) it is the union of the last p + 1 sets, unconverged.
     """
     if model.discrete:
         delta = _check_delta(model, delta)
     g = _Graph(model, delta, seed.points if seed is not None else model.seeder(delta))
-    p = len(w.period)
+    p, pre = len(w.period), len(w.preperiod)
     if maxiter is None:
-        maxiter = (math.ceil(10.0 * model.diameter() / delta) if delta > 0 else g.n) + 4 * p
-    tail = deque([np.ones(g.n, bool)], maxlen=p + 1)  # T_{k-p}, ..., T_k
-    for k in range(1, maxiter + 1):
-        tail.append(g.image([(tail[-1], w.letter_at(k - 1))], step=k))
-        if k - p >= len(w.preperiod) and np.array_equal(g.fit(tail[0]), tail[-1]):
-            converged, residual = True, 0.0
-            break
-    else:
-        k, converged = maxiter, False
-        residual = hausdorff(g.cloud(tail[0]), g.cloud(tail[-1]), model) if len(tail) > p else math.inf
-    union = np.logical_or.reduce([g.fit(m) for m in tail])
-    return AttractorReport(g.cloud(union), k, residual, converged)
+        maxiter = (math.ceil(10.0 * model.diameter() / delta) if delta > 0 else g.n) + pre + 4 * p
+    states, k, residual, converged = _recurrence(
+        g, lambda k, s: (g.image([(s[0], w.letter_at(k - 1))], step=k),), (np.ones(g.n, bool),), p, pre, maxiter
+    )
+    return AttractorReport(g.cloud(*[s[0] for s in states]), k, residual, converged)
 
 
 def omega_limit(

@@ -304,3 +304,35 @@ def test_render_empty_csv_exits_2(tmp_path, capsys):
     assert run_cli("render", str(csv), "--out", str(tmp_path)) == 2
     assert "empty.csv" in capsys.readouterr().err
     assert not (tmp_path / "empty.svg").exists()
+
+
+def test_malformed_subshift_file_exits_2(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("q 0 q\nq x q\n")
+    argv = ("slices", "--model", "three_point", "--delta", "0", "--subshift", str(graph))
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,entries",
+    [
+        ("chaos", {"model": "cantor", "delta": 0.01, "steps": "abc"}),
+        ("verify", {"params": 5, "only": "C2"}),
+        ("attractor", {"model": 3}),
+        ("attractor", {"model": "cantor", "delta": True}),
+        ("attractor", {"model": "cantor", "delta": 0.01, "maxiter": 2.5}),
+    ],
+)
+def test_config_entry_of_the_wrong_type_exits_2(tmp_path, capsys, command, entries):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
+def test_config_int_is_a_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "three_point", "delta": 0}))
+    assert run_cli("attractor", "--config", str(cfg), "--out", str(tmp_path)) == 0

@@ -135,6 +135,14 @@ def test_compute_K_seed_independence(cantor, cantor_K):
     assert hausdorff(other.cloud, cantor_K.cloud) <= 2 * 2e-3
 
 
+def test_compute_K_from_a_caller_seed_ends_at_its_recurrence(cantor):
+    # no tol exit off the absorbing seed: the orbit of {0.5} runs to its fixed point
+    delta = 1e-4
+    rep = compute_K(cantor, delta=delta, seed=PointCloud([[0.5]], delta))
+    assert rep.converged and rep.residual == 0.0
+    assert hutchinson_step(cantor, rep.cloud) == rep.cloud
+
+
 def test_compute_K_rejects_bad_resolution(cantor, three_point):
     with pytest.raises(ValueError):
         compute_K(cantor, delta=0.0)
@@ -231,18 +239,34 @@ def _set_orbit_limit(tables, start, w):
 
 
 def test_individual_attractor_matches_set_orbit_on_three_point(three_point):
+    # set cycles of length 2p, 3p, ... included: 01(10) from {A} runs A, B, B, C, ...
     tables = (models._S0_TABLE, models._S1_TABLE)
     strategies = {
         UPString(pre.letters, per.letters)
-        for pre_len in range(6)
+        for pre_len in range(4)
         for per_len in range(1, 4)
         for pre in enumerate_words(2, pre_len)
         for per in enumerate_words(2, per_len)
     }
+    runs = 0
     for w in strategies:
-        rep = individual_attractor(three_point, w, 0.0)
-        assert rep.converged, w
-        assert models.label_cloud(rep.cloud) == _set_orbit_limit(tables, "ABC", w), w
+        for start in ("A", "B", "C", "AB", "ABC"):
+            rep = individual_attractor(three_point, w, 0.0, seed=models.points_cloud(list(start)))
+            assert rep.converged and rep.residual == 0.0, (w, start)
+            assert models.label_cloud(rep.cloud) == _set_orbit_limit(tables, start, w), (w, start)
+            runs += 1
+    assert runs == 400
+
+
+@pytest.mark.parametrize("text", ["1(0)", "01(0)", "11(0)"])
+def test_individual_attractor_matches_set_orbit_on_gestalt(text):
+    model = models.gestalt_model()
+    codes = model.seeder(0.0).ravel().tolist()
+    tables = [{c: fn(c) for c in codes} for fn in model.scalar_maps]
+    w = parse_strategy(text)
+    rep = individual_attractor(model, w, 0.0)
+    assert rep.converged and rep.residual == 0.0
+    assert set(rep.cloud.points.ravel().tolist()) == _set_orbit_limit(tables, codes, w)
 
 
 def test_omega_limit_examples(three_point):
