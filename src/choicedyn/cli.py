@@ -56,7 +56,7 @@ _FLAGS = {
     "model": dict(help=f"model name, one of {', '.join(models.MODEL_NAMES)}"),
     "delta": dict(type=float, help="grid resolution (default 0.01 for continuous models; 0, exact, "
                                      "for discrete models and for render)"),
-    "tol": dict(type=float, help="convergence tolerance (default: delta)"),
+    "tol": dict(type=float, help="vertex-family tolerance, at least delta (default: delta)"),
     "maxiter": dict(type=int, help="iteration cap (default 1000)"),
     "strategy": dict(help='strategy string "PRE(PER)", e.g. "(10)"'),
     "subshift": dict(help="builtin presentation name or a graph text file"),
@@ -170,11 +170,11 @@ def cmd_attractor(args) -> int:
     cfg = RunConfig.load(args)
     model, delta = _model_from(cfg)
     with _config_errors():
-        report = compute_K(model, delta, tol=cfg.tol, maxiter=cfg.maxiter)
+        report = compute_K(model, delta, maxiter=cfg.maxiter)
     _write_cloud(cfg.out, "k", report.cloud, model)
     print(
         f"K: {report.cloud.n} points at delta={delta}, "
-        f"{report.iterations} iterations, residual {report.residual:.3e}"
+        f"{report.iterations} iterations, residual {report.residual:.3e}, stop {report.stop}"
     )
     if not report.converged:
         print("attractor iteration did NOT converge", file=sys.stderr)
@@ -192,7 +192,8 @@ def cmd_individual(args) -> int:
         report = individual_attractor(model, w, delta)
     _write_cloud(cfg.out, "a_w", report.cloud, model)
     print(
-        f"A_{w}: {report.cloud.n} points, {report.iterations} steps, residual {report.residual:.3e}"
+        f"A_{w}: {report.cloud.n} points, {report.iterations} steps, residual {report.residual:.3e}, "
+        f"stop {report.stop}"
     )
     k_path = os.path.join(cfg.out, "k.csv")
     if os.path.exists(k_path):
@@ -214,7 +215,7 @@ def cmd_slices(args) -> int:
         report = enumerate_slices(model, pres, family, period_bound=cfg.period_bound)
     save_slice_report(report, cfg.out)
     ok, residuals = verify_decomposition(report, model)
-    print(f"distinct slices: {len(report.slices)}")
+    print(f"distinct slices: {len(report.slices)}, vertex family {family.iterations} sweeps, stop {family.stop}")
     print(
         f"decomposition residuals: union {residuals['union']:.3e}, mapped {residuals['mapped']:.3e}"
         f" ({'ok' if ok else 'FAILED'})"
@@ -281,7 +282,7 @@ def cmd_render(args) -> int:
 # command -> (handler, help line, settings it reads besides out); it rejects the others
 _COMMANDS = {
     "attractor": (cmd_attractor, "compute the global attractor cloud K and write k.csv/k.svg",
-                  ("model", "params", "delta", "tol", "maxiter")),
+                  ("model", "params", "delta", "maxiter")),
     "individual": (cmd_individual, "compute the individual attractor A_w for --strategy",
                    ("model", "params", "delta", "strategy")),
     "slices": (cmd_slices, "compute restricted-choice slices for --subshift",

@@ -19,22 +19,26 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .setdyn import ModelSpec, PointCloud, _Graph, _recurrence, hausdorff
+from .setdyn import ModelSpec, PointCloud, _Graph, _nearest_distances, _recurrence, hausdorff
 from .sofic import SoficPresentation, start_vertices
 from .symbolic import UPString, enumerate_words
 
 
 @dataclass(frozen=True, eq=False)
 class VertexFamily:
-    """Per-vertex limit clouds of a presentation, with diagnostics."""
+    """Per-vertex limit clouds of a presentation, with diagnostics; ``stop``
+    names the rule that ended the sweeps: "cycle", "tol" or "maxiter"."""
 
     presentation: SoficPresentation
     clouds: dict
-    converged: bool
     residual: float
     iterations: int
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "maxiter"
 
     @property
     def all_converged(self) -> bool:
@@ -57,13 +61,16 @@ def vertex_limits(
     C_v by the snapped union of S_j(C_u) over edges (u -j-> v).  Sweeps are
     Jacobi-style: all vertices advance from the same snapshot, up to the
     family's first recurrence or, from an absorbing seed, a sweep that
-    moves no vertex cloud by more than ``tol`` (default: delta).
+    moves no vertex cloud by more than ``tol`` (default and least value:
+    delta).
     """
     if pres.is_empty:
         raise ValueError("presentation is empty")
     if tol is None:
         tol = float(delta)
-    g = _Graph(model, delta, model.seeder(delta))
+    if tol < delta:
+        raise ValueError("tol must be at least delta")
+    g = _Graph(model, delta)
     # a vertex without live incoming edges gets the empty set: no long word ends there
     incoming = [[(pres.vertices.index(u), j) for u, j, dst in sorted(pres.edges) if dst == v] for v in pres.vertices]
 
@@ -74,12 +81,12 @@ def vertex_limits(
         residual = max(map(g.distance, masks, prev))
         return residual if residual <= tol else None
 
-    states, k, residual, converged = _recurrence(
+    states, k, residual, stop = _recurrence(
         g, sweep, (np.ones(g.n, bool),) * len(pres.vertices), maxiter=maxiter,
         early=early if model.seed_absorbing else None,
     )
-    clouds = {v: g.cloud(*m) for v, m in zip(pres.vertices, zip(*(states if converged else states[-1:])))}
-    return VertexFamily(pres, clouds, converged, residual, k)
+    clouds = {v: g.cloud(*m) for v, m in zip(pres.vertices, zip(*(states if stop == "cycle" else states[-1:])))}
+    return VertexFamily(pres, clouds, residual, k, stop)
 
 
 def slice_cloud(
@@ -111,8 +118,7 @@ def _decomposition_sets(model: ModelSpec, k_lambda: PointCloud, delta: float):
     for fn in model.maps:
         images = np.asarray(fn(k_lambda.points), dtype=float)
         if delta > 0:  # images within delta of K_Lambda, up to rounding
-            dist, _ = cKDTree(k_lambda.points).query(images, k=1, workers=-1)
-            mask = dist <= delta * (1.0 + 1e-9) + 1e-12
+            mask = _nearest_distances(images, k_lambda.points) <= delta * (1.0 + 1e-9) + 1e-12
         else:
             mask = k_lambda.contains_points(images)
         sets.append(PointCloud(k_lambda.points[mask], delta))

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .symbolic import UPString, Word, shift as _shift
 
@@ -260,12 +259,17 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class AttractorReport:
-    """A computed cloud plus convergence diagnostics."""
+    """A computed cloud plus convergence diagnostics; ``stop`` names the rule
+    that ended the run: "cycle" or "maxiter"."""
 
     cloud: PointCloud
     iterations: int
     residual: float
-    converged: bool
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "maxiter"
 
 
 def _check_delta(model: ModelSpec, delta: float) -> float:
@@ -281,48 +285,58 @@ def _check_delta(model: ModelSpec, delta: float) -> float:
 _CHUNK = 1 << 16
 
 
+def _check_node_count(n: int) -> None:
+    if n > 2**31 - 1:
+        raise ValueError(f"{n} grid nodes do not fit the int32 successor tables")
+
+
 class _Graph:
     """The finite transition graph of a model's maps on the delta-grid.
 
     Nodes are grid keys (the snapped integer index for delta > 0, the exact
-    row for delta = 0): first the seed's, in lexicographic order, then keys
-    that first appear as images; ``order`` lists all lexicographically.
-    ``succ[j][x]`` is the node of snap(S_j(x)), computed the first time x is
-    live under map j (-1 before).  Sets are boolean masks over node ids; a
-    mask made before later nodes appeared is read as False on them.
+    row for delta = 0), held only as ``code``, each key packed by ``_codes``
+    over the per-column values ``cols``: first the seed's, in lexicographic
+    order, then keys that first appear as images; ``order`` lists all
+    lexicographically.  ``succ[j][x]`` (int32) is the node of snap(S_j(x)),
+    computed the first time x is live under map j (-1 before).  Sets are
+    boolean masks over node ids; a mask made before later nodes appeared is
+    read as False on them.
     """
 
-    def __init__(self, model: ModelSpec, delta: float, seed):
+    def __init__(self, model: ModelSpec, delta: float, seed=None):
+        """Nodes for the seed points, by default the model's seeder at delta."""
         delta = float(delta)
         if delta < 0 or not math.isfinite(delta):
             raise ValueError("delta must be a finite non-negative number")
         self.model = model
         self.delta = delta
-        keys = _snap(_as_point_array(seed, model.dim), delta)
+        # seeded here so that the float seed is freed before its keys are packed
+        keys = _snap(_as_point_array(model.seeder(delta) if seed is None else seed, model.dim), delta)
         self.cols = [np.unique(col) for col in keys.T]  # distinct values per column
-        self.code = np.unique(_codes(self.cols, keys))  # per node: its key, packed
+        self.code = np.unique(_codes(self.cols, keys))
+        _check_node_count(len(self.code))
         self.order = np.arange(len(self.code))
-        self.keys = _decode(self.cols, self.code)
-        self.succ = [np.full(len(self.code), -1) for _ in model.maps]
+        self.succ = [np.full(len(self.code), -1, np.int32) for _ in model.maps]
 
     @property
     def n(self) -> int:
-        return len(self.keys)
+        return len(self.code)
 
     def nodes(self, points) -> np.ndarray:
         """Node ids of the snapped points; unseen keys become new nodes."""
         keys = _snap(_as_point_array(points, self.model.dim), self.delta)
         if not all(np.isin(col, vals).all() for col, vals in zip(keys.T, self.cols)):
+            old = _decode(self.cols, self.code)
             self.cols = [np.union1d(vals, col) for col, vals in zip(keys.T, self.cols)]
-            self._reorder(_codes(self.cols, self.keys))
+            self._reorder(_codes(self.cols, old))
         code = _codes(self.cols, keys)
         ids = self.order[np.minimum(np.searchsorted(self.code, code, sorter=self.order), self.n - 1)]
         miss = self.code[ids] != code
         if miss.any():
             fresh = np.unique(code[miss])
+            _check_node_count(self.n + len(fresh))
             ids[miss] = self.n + np.searchsorted(fresh, code[miss])
-            self.keys = np.concatenate((self.keys, _decode(self.cols, fresh)))
-            self.succ = [np.concatenate((t, np.full(len(fresh), -1))) for t in self.succ]
+            self.succ = [np.concatenate((t, np.full(len(fresh), -1, np.int32))) for t in self.succ]
             self._reorder(np.concatenate((self.code, fresh)))
         return ids
 
@@ -359,7 +373,7 @@ class _Graph:
         return out
 
     def points(self, ids: np.ndarray) -> np.ndarray:
-        keys = self.keys[ids]
+        keys = _decode(self.cols, self.code[ids])
         return keys * self.delta if self.delta > 0 else keys
 
     def cloud(self, *masks: np.ndarray) -> PointCloud:
@@ -378,13 +392,14 @@ class _Graph:
 
 
 def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter: int = 1000, early=None):
-    """Orbit s_k = step(k, s_{k-1}) of a tuple of masks over g: (states, k, residual, converged).
+    """Orbit s_k = step(k, s_{k-1}) of a tuple of masks over g: (states, k, residual, stop).
 
     Past ``pre``, s_k is keyed by its phase (k - pre) mod p and digests of its
     masks without the zero bytes that pad older, shorter masks.  The first key
     seen before, at i, ends the run with the cycle s_i ... s_{k-1}, replayed
-    from s_k on the filled successor tables.  A residual from ``early(s_{k-1},
-    s_k)`` ends it at s_k; ``maxiter`` unconverged at the last p + 1 states.
+    from s_k on the filled successor tables (stop "cycle").  A residual from
+    ``early(s_{k-1}, s_k)`` ends it at s_k ("tol"); ``maxiter`` ends it
+    unconverged at the last p + 1 states ("maxiter").
     """
     tail, seen = [start], {}
     for k in range(maxiter + 1):
@@ -394,12 +409,12 @@ def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter
         if k >= pre and (i := seen.setdefault(key, k)) < k:
             for j in range(k + 1, 2 * k - i):
                 tail.append(step(j, tail[-1]))
-            return tail[i - k :], k, 0.0, True
+            return tail[i - k :], k, 0.0, "cycle"
         residual = early(tail[-2], tail[-1]) if k and early else None
         if residual is not None:
-            return tail[-1:], k, residual, True
+            return tail[-1:], k, residual, "tol"
     residual = max(map(g.distance, tail[0], tail[-1])) if len(tail) > p else math.inf
-    return tail, maxiter, residual, False
+    return tail, maxiter, residual, "maxiter"
 
 
 def hutchinson_step(model: ModelSpec, cloud: PointCloud) -> PointCloud:
@@ -432,10 +447,17 @@ def apply_word(model: ModelSpec, word: Word, cloud: PointCloud) -> PointCloud:
     return PointCloud(raw, cloud.delta)
 
 
-def _directed_euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    tree = cKDTree(b)
-    d, _ = tree.query(a, k=1, workers=-1)
-    return float(np.max(d))
+def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of a to its nearest row of b.
+
+    scipy is imported here, on first use, because loading it costs more
+    memory and start-up time than most runs spend: runs that take no
+    distance (K from the absorbing seed, a converged A_w, the chaos game)
+    never load it.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(b).query(a, k=1, workers=-1)[0]
 
 
 def _directed_dsigma(a: np.ndarray, b: np.ndarray, bits: int) -> float:
@@ -459,7 +481,7 @@ def directed_distance(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> 
         raise ValueError("distance to an empty cloud")
     if model is not None and model.metric == "dsigma":
         return _directed_dsigma(a.points, b.points, model.dsigma_bits)
-    return _directed_euclidean(a.points, b.points)
+    return float(np.max(_nearest_distances(a.points, b.points)))
 
 
 def hausdorff(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> float:
@@ -472,41 +494,31 @@ def hausdorff(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> float:
 def compute_K(
     model: ModelSpec,
     delta: float,
-    tol: float = None,
     maxiter: int = 1000,
     seed: PointCloud = None,
 ) -> AttractorReport:
     """Iterate the Hutchinson-Barnsley step from the seeded bounding cloud.
 
-    Stops at the orbit's first recurrence with the union of its cycle, from
-    the absorbing seed also once a step removes points at most ``tol``
-    (default: delta) from the rest, or at ``maxiter`` with the last cloud.
+    Stops at the orbit's first recurrence with the union of its cycle, or at
+    ``maxiter`` with the last cloud.  From the absorbing seed the clouds only
+    shrink, so the recurrence is a fixed point: the grid nodes reachable from
+    a cycle of the maps' node tables.
     """
     delta = _check_delta(model, delta)
-    if tol is None:
-        tol = delta
-    if delta > 0 and tol < delta:
-        raise ValueError("tol must be at least delta")
-    g = _Graph(model, delta, seed.points if seed is not None else model.seeder(delta))
+    g = _Graph(model, delta, None if seed is None else seed.points)
     if g.n == 0:
         raise ValueError("compute_K needs a nonempty seed")
+    absorbing = model.seed_absorbing and seed is None
 
-    def early(prev, state):  # from the absorbing seed: the removed points' distance, when few
-        old, new = g.fit(prev[0]), state[0]
-        n = np.count_nonzero(old)
-        removed_n = n - np.count_nonzero(new)
-        if removed_n < 0:
+    def step(k, s):
+        new = g.image([(s[0], j) for j in range(model.n_maps)])
+        if absorbing and np.count_nonzero(new) > np.count_nonzero(s[0]):
             raise RuntimeError(f"model {model.name!r}: seed_absorbing seed is not absorbing")
-        if 0 < removed_n <= max(2000, n // 20):
-            residual = directed_distance(g.cloud(old & ~new), g.cloud(new), model)
-            return residual if residual <= tol else None
+        return (new,)
 
-    states, k, residual, converged = _recurrence(
-        g, lambda k, s: (g.image([(s[0], j) for j in range(model.n_maps)]),), (np.ones(g.n, bool),),
-        maxiter=maxiter, early=early if model.seed_absorbing and seed is None else None,
-    )
-    masks = [s[0] for s in (states if converged else states[-1:])]
-    return AttractorReport(g.cloud(*masks), k, residual, converged)
+    states, k, residual, stop = _recurrence(g, step, (np.ones(g.n, bool),), maxiter=maxiter)
+    masks = [s[0] for s in (states if stop == "cycle" else states[-1:])]
+    return AttractorReport(g.cloud(*masks), k, residual, stop)
 
 
 def individual_attractor(
@@ -527,14 +539,14 @@ def individual_attractor(
     """
     if model.discrete:
         delta = _check_delta(model, delta)
-    g = _Graph(model, delta, seed.points if seed is not None else model.seeder(delta))
+    g = _Graph(model, delta, None if seed is None else seed.points)
     p, pre = len(w.period), len(w.preperiod)
     if maxiter is None:
         maxiter = (math.ceil(10.0 * model.diameter() / delta) if delta > 0 else g.n) + pre + 4 * p
-    states, k, residual, converged = _recurrence(
+    states, k, residual, stop = _recurrence(
         g, lambda k, s: (g.image([(s[0], w.letter_at(k - 1))], step=k),), (np.ones(g.n, bool),), p, pre, maxiter
     )
-    return AttractorReport(g.cloud(*[s[0] for s in states]), k, residual, converged)
+    return AttractorReport(g.cloud(*[s[0] for s in states]), k, residual, stop)
 
 
 def omega_limit(

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import choicedyn
 from choicedyn import models
 from choicedyn.cli import main
 from choicedyn.setdyn import PointCloud, compute_K, directed_distance, hutchinson_step
@@ -101,7 +105,9 @@ def test_nonconvergence_exits_3(tmp_path, capsys):
         "--out", str(tmp_path),
     )
     assert code == 3
-    assert "did NOT converge" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "did NOT converge" in captured.err
+    assert "2 iterations" in captured.out and captured.out.rstrip().endswith("stop maxiter")
 
 
 def test_slices_three_point(tmp_path, capsys):
@@ -112,11 +118,44 @@ def test_slices_three_point(tmp_path, capsys):
     )
     assert code == 0
     printed = capsys.readouterr().out
-    assert "distinct slices: 2" in printed
+    assert "distinct slices: 2, vertex family 2 sweeps, stop cycle" in printed
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["distinct_slices"] == 2
     assert (out / "slice_0.csv").exists() and (out / "k_lambda.csv").exists()
     assert (out / "a_0.csv").exists() and (out / "a_1.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["0.001", "-1"])
+def test_slices_tol_below_delta_exits_2(tmp_path, capsys, tol):
+    argv = ("slices", "--model", "malaria", "--subshift", "golden_mean", "--delta", "0.05", "--tol", tol)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert "tol must be at least delta" in capsys.readouterr().err
+
+
+def test_runs_that_take_no_distance_never_load_scipy(tmp_path):
+    # scipy is imported on first use by the nearest-neighbour distances only
+    script = """
+import json, sys
+import choicedyn, choicedyn.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]).items():
+    assert choicedyn.cli.main(argv) == 0, name
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+    runs = {
+        "attractor": ["attractor", "--model", "malaria", "--delta", "0.02"],
+        "individual": ["individual", "--model", "gestalt", "--strategy", "(011)"],
+        "chaos": ["chaos", "--model", "malaria", "--delta", "0.02"],
+    }
+    runs = {name: argv + ["--out", str(tmp_path / name)] for name, argv in runs.items()}
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(choicedyn.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "attractor": [], "individual": [], "chaos": []}
 
 
 def test_slices_subshift_from_file(tmp_path):
@@ -225,7 +264,7 @@ def test_verify_detects_corrupted_params(tmp_path, capsys):
 
 # What each command reads besides --config/--out; the CLI rejects everything else.
 READS = {
-    "attractor": {"model", "params", "delta", "tol", "maxiter"},
+    "attractor": {"model", "params", "delta", "maxiter"},
     "individual": {"model", "params", "delta", "strategy"},
     "slices": {"model", "params", "delta", "tol", "maxiter", "subshift", "period_bound"},
     "chaos": {"model", "params", "delta", "seed", "probs", "steps", "burnin", "x0"},

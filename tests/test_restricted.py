@@ -144,9 +144,10 @@ def test_three_cycle_orbit_slices_can_coincide():
         lower=(0.0,),
         upper=(1.0,),
         seeder=lambda delta: np.linspace(0.0, 1.0, int(round(1.0 / delta)) + 1)[:, None],
-        seed_absorbing=True,
     )
-    family = vertex_limits(model, pres, delta=1e-3, tol=0.0)
+    # without seed_absorbing no tol exit applies: the sweeps run to the exact limit
+    family = vertex_limits(model, pres, delta=1e-3)
+    assert family.stop == "cycle"
     starts = {str(u): start_vertices(pres, u) for u in
               (UPString("", "100"), UPString("", "001"), UPString("", "010"))}
     assert len(set(starts.values())) == 3
@@ -258,6 +259,20 @@ def test_save_slice_report_round_trip(tmp_path, three_point, golden_even_family)
         text = (tmp_path / name).read_text()
         assert PointCloud.from_csv(text, report.delta) == report.slices[i]
     assert PointCloud.from_csv((tmp_path / "k_lambda.csv").read_text(), report.delta) == report.k_lambda
+
+
+def test_vertex_limits_rejects_tol_below_delta():
+    mal = models.malaria_model()
+    for tol in (1e-4, -1.0):
+        with pytest.raises(ValueError, match="tol must be at least delta"):
+            vertex_limits(mal, builtin("golden_mean"), delta=1e-3, tol=tol)
+
+
+def test_vertex_limits_reports_its_tol_exit():
+    # dt = 0.005 moves the clouds by less than delta = 0.02 long before the limit
+    slow = models.build_model("malaria", {"dt": 0.005})
+    family = vertex_limits(slow, builtin("golden_mean"), delta=0.02)
+    assert family.stop == "tol" and family.iterations == 2 and family.all_converged
 
 
 def test_empty_presentation_rejected(three_point):

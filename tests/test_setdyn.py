@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import connected_components
 from choicedyn import models
 from choicedyn.setdyn import (
     AssumptionViolation,
+    ModelSpec,
     PointCloud,
     apply_word,
     chaos_game,
@@ -148,8 +149,22 @@ def test_compute_K_rejects_bad_resolution(cantor, three_point):
         compute_K(cantor, delta=0.0)
     with pytest.raises(ValueError):
         compute_K(three_point, delta=0.01)
-    with pytest.raises(ValueError):
-        compute_K(cantor, delta=1e-3, tol=1e-4)
+
+
+def test_compute_K_rejects_a_seed_flagged_absorbing_that_grows():
+    # the seed {0, 1} maps onto {0, 0.5, 1}: more nodes than it has
+    model = ModelSpec(
+        name="halves",
+        dim=1,
+        maps=(lambda pts: pts / 2.0, lambda pts: 1.0 - pts / 2.0),
+        scalar_maps=(lambda x: x / 2.0, lambda x: 1.0 - x / 2.0),
+        lower=(0.0,),
+        upper=(1.0,),
+        seeder=lambda delta: np.array([[0.0], [1.0]]),
+        seed_absorbing=True,
+    )
+    with pytest.raises(RuntimeError, match="not absorbing"):
+        compute_K(model, delta=0.25)
 
 
 def test_skew_step_matches_orbit():
@@ -367,7 +382,7 @@ def test_compute_K_is_deterministic():
 
 def test_maxiter_exhaustion_reports_not_converged(cantor):
     rep = compute_K(cantor, delta=1e-3, maxiter=2)
-    assert not rep.converged
+    assert not rep.converged and rep.stop == "maxiter"
     assert rep.iterations == 2
     assert rep.residual > 1e-3
 
@@ -423,12 +438,19 @@ def _reachable_from_cycles(tables):
         reach = grown
 
 
-@pytest.mark.parametrize("name, delta", [("malaria", 0.02), ("cantor", 1e-3)])
-def test_compute_K_equals_cycle_reachable_grid_nodes(name, delta):
-    model = models.build_model(name)
+@pytest.mark.parametrize(
+    "name, params, delta",
+    [("malaria", {}, 0.02), ("cantor", {}, 1e-3), ("malaria", {}, 0.01), ("malaria", {"dt": 0.005}, 0.02)],
+    ids=["malaria-0.02", "cantor-0.001", "malaria-0.01", "malaria_dt0.005-0.02"],
+)
+def test_compute_K_equals_cycle_reachable_grid_nodes(name, params, delta):
+    # the last two pass steps that move K by at most delta well before its limit
+    model = models.build_model(name, params)
     coords, tables = _grid_tables(model, delta)
     oracle = coords[_reachable_from_cycles(tables)]
-    assert np.array_equal(compute_K(model, delta).cloud.points, oracle)
+    rep = compute_K(model, delta)
+    assert rep.stop == "cycle" and rep.residual == 0.0
+    assert np.array_equal(rep.cloud.points, oracle)
 
 
 @pytest.mark.parametrize("text", ["(10)", "1(001)", "(0111)", "000(100)"])
