@@ -187,18 +187,23 @@ def cmd_individual(args) -> int:
     model, delta = _model_from(cfg)
     if not cfg.strategy:
         raise ConfigError("individual needs --strategy")
+    k_path = os.path.join(cfg.out, "k.csv")  # a K left in --out by an earlier attractor run
+    K = None
     with _config_errors():
         w = parse_strategy(str(cfg.strategy))
+        if os.path.exists(k_path):
+            with open(k_path, "r", encoding="utf-8") as fh:
+                K = PointCloud.from_csv(fh.read(), delta)
+            if K.n == 0 or K.dim != model.dim:
+                held = f"{K.dim}-D points" if K.n else "no points"
+                raise ValueError(f"{k_path!r} holds {held}; model {model.name!r} is {model.dim}-D")
         report = individual_attractor(model, w, delta)
     _write_cloud(cfg.out, "a_w", report.cloud, model)
     print(
         f"A_{w}: {report.cloud.n} points, {report.iterations} steps, residual {report.residual:.3e}, "
         f"stop {report.stop}"
     )
-    k_path = os.path.join(cfg.out, "k.csv")
-    if os.path.exists(k_path):
-        with open(k_path, "r", encoding="utf-8") as fh:
-            K = PointCloud.from_csv(fh.read(), delta)
+    if K is not None:
         print(f"containment residual A_w -> K: {directed_distance(report.cloud, K, model):.3e}")
     if not report.converged:
         print("orbit did not recur within the step cap", file=sys.stderr)

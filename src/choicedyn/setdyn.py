@@ -56,6 +56,14 @@ def _as_point_array(points, dim=None) -> np.ndarray:
     return arr
 
 
+def _grid_delta(delta) -> float:
+    """delta as a float, which must be finite and non-negative."""
+    delta = float(delta)
+    if delta < 0 or not math.isfinite(delta):
+        raise ValueError("delta must be a finite non-negative number")
+    return delta
+
+
 def _snap(arr: np.ndarray, delta: float) -> np.ndarray:
     """Grid keys of the rows: nearest node index with ties toward -inf, or
     the exact rows when delta = 0."""
@@ -119,9 +127,7 @@ class PointCloud:
     __slots__ = ("delta", "points")
 
     def __init__(self, points, delta: float = 0.0):
-        delta = float(delta)
-        if delta < 0 or not math.isfinite(delta):
-            raise ValueError("delta must be a finite non-negative number")
+        delta = _grid_delta(delta)
         arr = _unique_rows(_snap(_as_point_array(points), delta))
         if delta > 0:
             arr = arr * delta
@@ -272,16 +278,6 @@ class AttractorReport:
         return self.stop != "maxiter"
 
 
-def _check_delta(model: ModelSpec, delta: float) -> float:
-    delta = float(delta)
-    if model.discrete:
-        if delta != 0:
-            raise ValueError(f"model {model.name!r} is discrete; use delta = 0")
-    elif delta <= 0:
-        raise ValueError(f"continuous model {model.name!r} needs delta > 0")
-    return delta
-
-
 _CHUNK = 1 << 16
 
 
@@ -304,14 +300,17 @@ class _Graph:
     """
 
     def __init__(self, model: ModelSpec, delta: float, seed=None):
-        """Nodes for the seed points, by default the model's seeder at delta."""
-        delta = float(delta)
-        if delta < 0 or not math.isfinite(delta):
-            raise ValueError("delta must be a finite non-negative number")
+        """Nodes for the seed points, by default the model's seeder at delta;
+        the one place where the delta and seed of a grid run are checked."""
+        delta = _grid_delta(delta)
+        if model.discrete and delta != 0:
+            raise ValueError(f"model {model.name!r} is discrete; use delta = 0")
         self.model = model
         self.delta = delta
         # seeded here so that the float seed is freed before its keys are packed
         keys = _snap(_as_point_array(model.seeder(delta) if seed is None else seed, model.dim), delta)
+        if len(keys) == 0 or keys.shape[1] != model.dim:
+            raise ValueError(f"model {model.name!r} needs a nonempty seed of dimension {model.dim}, got {keys.shape}")
         self.cols = [np.unique(col) for col in keys.T]  # distinct values per column
         self.code = np.unique(_codes(self.cols, keys))
         _check_node_count(len(self.code))
@@ -504,14 +503,11 @@ def compute_K(
     shrink, so the recurrence is a fixed point: the grid nodes reachable from
     a cycle of the maps' node tables.
     """
-    delta = _check_delta(model, delta)
     g = _Graph(model, delta, None if seed is None else seed.points)
-    if g.n == 0:
-        raise ValueError("compute_K needs a nonempty seed")
     absorbing = model.seed_absorbing and seed is None
 
     def step(k, s):
-        new = g.image([(s[0], j) for j in range(model.n_maps)])
+        new = g.image([(s[0], j) for j in range(model.n_maps)], step=k)
         if absorbing and np.count_nonzero(new) > np.count_nonzero(s[0]):
             raise RuntimeError(f"model {model.name!r}: seed_absorbing seed is not absorbing")
         return (new,)
@@ -537,12 +533,10 @@ def individual_attractor(
     delta, or the seed size at delta = 0, plus |preperiod| + 4p, p the
     period length) it is the union of the last p + 1 sets, unconverged.
     """
-    if model.discrete:
-        delta = _check_delta(model, delta)
     g = _Graph(model, delta, None if seed is None else seed.points)
     p, pre = len(w.period), len(w.preperiod)
     if maxiter is None:
-        maxiter = (math.ceil(10.0 * model.diameter() / delta) if delta > 0 else g.n) + pre + 4 * p
+        maxiter = (math.ceil(10.0 * model.diameter() / g.delta) if g.delta > 0 else g.n) + pre + 4 * p
     states, k, residual, stop = _recurrence(
         g, lambda k, s: (g.image([(s[0], w.letter_at(k - 1))], step=k),), (np.ones(g.n, bool),), p, pre, maxiter
     )

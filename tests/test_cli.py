@@ -88,11 +88,27 @@ def test_individual_config_window_is_unknown(tmp_path, capsys):
         ("attractor", "--model", "malaria", "--delta", "0"),
         ("individual", "--model", "malaria", "--strategy", "(0)", "--delta", "0"),
         ("slices", "--model", "malaria", "--subshift", "golden_mean", "--delta", "0"),
+        ("slices", "--model", "gestalt", "--subshift", "golden_mean", "--delta", "0.5"),
+        ("attractor", "--model", "cantor", "--delta", "nan"),
     ],
 )
 def test_invalid_delta_exits_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_line_model_at_delta_0_is_no_config_error(tmp_path, capsys):
+    # its seeder works at delta = 0, so K runs until the alternating maps escape
+    assert run_cli("attractor", "--model", "line", "--delta", "0", "--out", str(tmp_path)) == 4
+
+
+def test_individual_rejects_a_k_csv_of_another_dimension(tmp_path, capsys):
+    assert run_cli("attractor", "--model", "cantor", "--out", str(tmp_path)) == 0
+    argv = ("individual", "--model", "malaria", "--strategy", "(10)", "--delta", "0.02", "--out", str(tmp_path))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "k.csv" in err and "1-D points; model 'malaria' is 2-D" in err
+    assert not (tmp_path / "a_w.csv").exists()
 
 
 def test_bad_model_exits_2(tmp_path):

@@ -19,7 +19,7 @@ from choicedyn.setdyn import (
     hausdorff,
 )
 from choicedyn.sofic import SoficPresentation, builtin, start_vertices
-from choicedyn.symbolic import UPString
+from choicedyn.symbolic import UPString, parse_strategy
 from choicedyn.verify import product_graph_slice_oracle
 
 
@@ -206,6 +206,22 @@ def test_slices_match_oracle_on_random_presentations(three_point):
             assert got == product_graph_slice_oracle(pres, tables, [u])[str(u)]
             checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("subshift", ["golden_mean", "even_shift", "golden_even"])
+@pytest.mark.parametrize("depth", [6, 8])
+def test_gestalt_slices_match_product_graph_oracle(depth, subshift):
+    model = models.gestalt_model(models.GestaltConfig(depth))
+    states = np.arange(2**depth)
+    tables = [dict(zip(states.tolist(), fn(states[:, None] + 0.0)[:, 0].astype(int).tolist())) for fn in model.maps]
+    pres = builtin(subshift)
+    family = vertex_limits(model, pres, delta=0.0)
+    report = enumerate_slices(model, pres, family, period_bound=6)
+    strategies = [parse_strategy(key) for key in report.representatives]
+    oracle = product_graph_slice_oracle(pres, tables, strategies)
+    assert family.stop == "cycle" and len(report.slices) >= 2
+    for u in strategies:
+        assert set(slice_cloud(model, pres, family, u).points[:, 0].astype(int).tolist()) == oracle[str(u)], str(u)
 
 
 def test_decomposition_three_point(three_point, golden_even_family):

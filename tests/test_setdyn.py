@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from choicedyn import models
+from choicedyn.restricted import vertex_limits
 from choicedyn.setdyn import (
     AssumptionViolation,
     ModelSpec,
@@ -20,6 +23,7 @@ from choicedyn.setdyn import (
     omega_limit,
     skew_step,
 )
+from choicedyn.sofic import builtin
 from choicedyn.symbolic import UPString, Word, enumerate_words, parse_strategy, shift
 
 
@@ -149,6 +153,58 @@ def test_compute_K_rejects_bad_resolution(cantor, three_point):
         compute_K(cantor, delta=0.0)
     with pytest.raises(ValueError):
         compute_K(three_point, delta=0.01)
+
+
+# Every grid run checks its inputs where its graph is built, so a bad input
+# gets the same ValueError from each entry point.  A seed reaches
+# vertex_limits, which takes none, as the model's seeder.
+_ENTRY_POINTS = {
+    "compute_K": lambda m, d, seed: compute_K(m, d, seed=seed),
+    "individual_attractor": lambda m, d, seed: individual_attractor(m, UPString("", "01"), d, seed=seed),
+    "omega_limit": lambda m, d, seed: omega_limit(m, seed, UPString("", "01"), d),
+    "vertex_limits": lambda m, d, seed: vertex_limits(
+        m if seed is None else dataclasses.replace(m, seeder=lambda _: seed.points), builtin("golden_mean"), d
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, delta, seed, message",
+    [
+        ("three_point", 0.01, None, "model 'three_point' is discrete; use delta = 0"),
+        ("gestalt", 0.5, None, "model 'gestalt' is discrete; use delta = 0"),
+        ("malaria", 0.0, None, "grid seeding needs delta > 0"),
+        ("cantor", -1e-3, None, "delta must be a finite non-negative number"),
+        ("cantor", float("nan"), None, "delta must be a finite non-negative number"),
+        ("cantor", 1e-3, PointCloud(np.empty((0, 1)), 1e-3),
+         "model 'cantor' needs a nonempty seed of dimension 1, got (0, 1)"),
+        ("cantor", 1e-3, PointCloud([[0.25, 0.5]], 1e-3),
+         "model 'cantor' needs a nonempty seed of dimension 1, got (1, 2)"),
+    ],
+    ids=["discrete", "discrete-gestalt", "grid-seeder-at-0", "negative", "nan", "empty-seed", "seed-dimension"],
+)
+def test_every_grid_run_rejects_bad_input_alike(name, delta, seed, message):
+    model = models.build_model(name)
+    for entry, run in _ENTRY_POINTS.items():
+        with pytest.raises(ValueError) as exc:
+            run(model, delta, seed)
+        assert str(exc.value) == message, entry
+
+
+def test_a_continuous_model_runs_at_delta_0_when_its_seeder_does():
+    # the line model's seeder is a fixed sample, so delta = 0 reaches the escape check
+    with pytest.raises(AssumptionViolation):
+        compute_K(models.line_counterexample(), 0.0)
+
+
+def test_an_escape_from_K_reports_its_step():
+    # {1} doubles in magnitude each step and passes the radius 1e6 at step 20
+    line, seed = models.line_counterexample(), PointCloud([[1.0]], 0.5)
+    with pytest.raises(AssumptionViolation) as from_K:
+        compute_K(line, 0.5, seed=seed)
+    with pytest.raises(AssumptionViolation) as from_A_w:
+        individual_attractor(line, UPString("", "01"), 0.5, seed=seed)
+    assert from_K.value.step == from_A_w.value.step == 20
 
 
 def test_compute_K_rejects_a_seed_flagged_absorbing_that_grows():
