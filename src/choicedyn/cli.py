@@ -172,6 +172,8 @@ def cmd_attractor(args) -> int:
     with _config_errors():
         report = compute_K(model, delta, maxiter=cfg.maxiter)
     _write_cloud(cfg.out, "k", report.cloud, model)
+    with open(os.path.join(cfg.out, "k.json"), "w", encoding="utf-8") as fh:
+        json.dump({"delta": delta}, fh)  # read back by individual
     print(
         f"K: {report.cloud.n} points at delta={delta}, "
         f"{report.iterations} iterations, residual {report.residual:.3e}, stop {report.stop}"
@@ -197,6 +199,17 @@ def cmd_individual(args) -> int:
             if K.n == 0 or K.dim != model.dim:
                 held = f"{K.dim}-D points" if K.n else "no points"
                 raise ValueError(f"{k_path!r} holds {held}; model {model.name!r} is {model.dim}-D")
+            record = os.path.join(cfg.out, "k.json")  # the delta attractor wrote k.csv at
+            written_at = None
+            if os.path.exists(record):
+                with open(record, "r", encoding="utf-8") as fh:
+                    written_at = json.load(fh).get("delta")
+            if written_at != delta:
+                at = f"at delta {written_at!r}" if written_at is not None else f"without a delta in {record!r}"
+                raise ValueError(
+                    f"{k_path!r} was written {at}, not at delta {delta!r}; "
+                    "run attractor at that delta or use another --out"
+                )
         report = individual_attractor(model, w, delta)
     _write_cloud(cfg.out, "a_w", report.cloud, model)
     print(

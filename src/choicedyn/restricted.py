@@ -15,12 +15,13 @@ K_Lambda}.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .setdyn import ModelSpec, PointCloud, _Graph, _nearest_distances, _recurrence, hausdorff
+from .setdyn import ModelSpec, PointCloud, _Graph, _nearest_distances, _recurrence, directed_distance, hausdorff
 from .sofic import SoficPresentation, start_vertices
 from .symbolic import UPString, enumerate_words
 
@@ -62,7 +63,10 @@ def vertex_limits(
     Jacobi-style: all vertices advance from the same snapshot, up to the
     family's first recurrence or, from an absorbing seed, a sweep that
     moves no vertex cloud by more than ``tol`` (default and least value:
-    delta).
+    delta).  From an absorbing seed the clouds only shrink, so a cloud moves
+    by the distance from the nodes the sweep removed to the new cloud, which
+    is the Hausdorff distance of the two clouds; a cloud that grows there
+    raises RuntimeError.  Equal vertex clouds are one object.
     """
     if pres.is_empty:
         raise ValueError("presentation is empty")
@@ -75,18 +79,35 @@ def vertex_limits(
     incoming = [[(pres.vertices.index(u), j) for u, j, dst in sorted(pres.edges) if dst == v] for v in pres.vertices]
 
     def sweep(k, masks):
-        return tuple(g.image([(masks[u], j) for u, j in edges], step=k) for edges in incoming)
+        new = tuple(g.image([(masks[u], j) for u, j in edges], step=k) for edges in incoming)
+        if model.seed_absorbing and any((g.fit(b) & ~g.fit(a)).any() for a, b in zip(masks, new)):
+            raise RuntimeError(f"model {model.name!r}: seed_absorbing seed is not absorbing")
+        return new
 
     def early(prev, masks):  # from an absorbing seed: no vertex cloud moved by more than tol
-        residual = max(map(g.distance, masks, prev))
+        residual = max(_removed_distance(g, old, new) for old, new in zip(prev, masks))
         return residual if residual <= tol else None
 
     states, k, residual, stop = _recurrence(
         g, sweep, (np.ones(g.n, bool),) * len(pres.vertices), maxiter=maxiter,
         early=early if model.seed_absorbing else None,
     )
-    clouds = {v: g.cloud(*m) for v, m in zip(pres.vertices, zip(*(states if stop == "cycle" else states[-1:])))}
+    clouds = {}
+    for v, m in zip(pres.vertices, zip(*(states if stop == "cycle" else states[-1:]))):
+        cloud = g.cloud(*m)
+        clouds[v] = next((c for c in clouds.values() if c == cloud), cloud)
     return VertexFamily(pres, clouds, residual, k, stop)
+
+
+def _removed_distance(g: _Graph, old: np.ndarray, new: np.ndarray) -> float:
+    """Distance from the nodes of mask old missing from mask new to new (inf
+    when new is empty): their Hausdorff distance when new is a subset of old."""
+    removed = g.fit(old) & ~g.fit(new)
+    if not removed.any():
+        return 0.0
+    if not new.any():
+        return math.inf
+    return directed_distance(g.cloud(removed), g.cloud(new), g.model)
 
 
 def slice_cloud(
@@ -104,7 +125,8 @@ def slice_cloud(
 
 @dataclass(frozen=True, eq=False)
 class SliceReport:
-    """Distinct slices, strategy classification, and the K_Lambda decomposition."""
+    """Distinct slices, strategy classification, and the K_Lambda decomposition;
+    a slice or A_j equal to K_Lambda is ``k_lambda`` itself."""
 
     delta: float
     slices: tuple
@@ -121,7 +143,7 @@ def _decomposition_sets(model: ModelSpec, k_lambda: PointCloud, delta: float):
             mask = _nearest_distances(images, k_lambda.points) <= delta * (1.0 + 1e-9) + 1e-12
         else:
             mask = k_lambda.contains_points(images)
-        sets.append(PointCloud(k_lambda.points[mask], delta))
+        sets.append(k_lambda if mask.all() else PointCloud(k_lambda.points[mask], delta))
     return tuple(sets)
 
 
@@ -143,6 +165,7 @@ def enumerate_slices(
     if period_bound < 1:
         raise ValueError("period_bound must be at least 1")
     n = pres.n_symbols
+    k_lambda = family.union()
     slices = []
     reps = {}
     seen = set()
@@ -165,8 +188,7 @@ def enumerate_slices(
                             break
                     else:
                         reps[key] = len(slices)
-                        slices.append(cloud)
-    k_lambda = family.union()
+                        slices.append(k_lambda if cloud.n == k_lambda.n else cloud)  # a slice lies in K_Lambda
     a_sets = _decomposition_sets(model, k_lambda, k_lambda.delta)
     return SliceReport(
         delta=k_lambda.delta,

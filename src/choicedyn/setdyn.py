@@ -193,7 +193,9 @@ class PointCloud:
         dim = clouds[0].dim
         if any(c.delta != delta or c.dim != dim for c in clouds):
             raise ValueError("clouds disagree on delta or dimension")
-        return PointCloud(np.concatenate([c.points for c in clouds]), delta)
+        out = PointCloud(np.concatenate([c.points for c in clouds]), delta)
+        # every input is a subset of the union, so an input of its size is the union
+        return next((c for c in clouds if c.n == out.n), out)
 
     def to_csv(self) -> str:
         header = ",".join(f"x{i}" for i in range(self.dim))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -109,6 +110,59 @@ def test_individual_rejects_a_k_csv_of_another_dimension(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "k.csv" in err and "1-D points; model 'malaria' is 2-D" in err
     assert not (tmp_path / "a_w.csv").exists()
+
+
+@pytest.mark.parametrize("delta", ["0.02", "0.005"])
+def test_individual_rejects_a_k_csv_written_at_another_delta(tmp_path, capsys, delta):
+    # at 0.005 the 0.01-grid points of k.csv are grid points too: only the record tells
+    assert run_cli("attractor", "--model", "cantor", "--delta", "0.01", "--out", str(tmp_path)) == 0
+    argv = ("individual", "--model", "cantor", "--strategy", "(01)", "--out", str(tmp_path))
+    assert run_cli(*argv, "--delta", delta) == 2
+    assert f"k.csv' was written at delta 0.01, not at delta {delta}" in capsys.readouterr().err
+    assert not (tmp_path / "a_w.csv").exists()
+    assert run_cli(*argv, "--delta", "0.01") == 0
+
+
+def test_individual_rejects_a_k_csv_without_its_delta(tmp_path, capsys):
+    assert run_cli("attractor", "--model", "cantor", "--delta", "0.01", "--out", str(tmp_path)) == 0
+    (tmp_path / "k.json").unlink()
+    argv = ("individual", "--model", "cantor", "--strategy", "(01)", "--delta", "0.01", "--out", str(tmp_path))
+    assert run_cli(*argv) == 2
+    assert "k.csv' was written without a delta in" in capsys.readouterr().err
+    assert not (tmp_path / "a_w.csv").exists()
+
+
+# sha256 of each file `slices` writes and of its stdout; the vertex-family
+# residual and the sharing of equal sets in reports must not change them
+SLICES_DIGESTS = {
+    ("malaria", "golden_mean", "0.01"): {
+        "a_0.csv": "1e1bed6e6e7b2d3c9766a5919e5f374fff39f7eafb68ab0c1a89acfd4b50cf3f",
+        "a_1.csv": "b08d3ca148be0d3546344fc7d03c2086967692688d8980e678b8c2684a10dd0c",
+        "k_lambda.csv": "1e1bed6e6e7b2d3c9766a5919e5f374fff39f7eafb68ab0c1a89acfd4b50cf3f",
+        "manifest.json": "8d4d133432e53568d9d8e0b3e4c8b323f1674f9011982b2e7c559ec890d17cd3",
+        "slice_0.csv": "1e1bed6e6e7b2d3c9766a5919e5f374fff39f7eafb68ab0c1a89acfd4b50cf3f",
+        "slice_1.csv": "48ad1b40480aa3807cdf3a06ee3a5aafd2dd8c20bf7c29c52618645352027726",
+        "stdout": "b0854f420cb4e2de3ec3b743440add05ed0c6194a4207f4738358ef56f1cac4f",
+    },
+    ("three_point", "golden_even", "0"): {
+        "a_0.csv": "550a4aa33a64e639aeb9efea36257669ad017e4910dbbbd0c5102f697655a1e8",
+        "a_1.csv": "550a4aa33a64e639aeb9efea36257669ad017e4910dbbbd0c5102f697655a1e8",
+        "k_lambda.csv": "550a4aa33a64e639aeb9efea36257669ad017e4910dbbbd0c5102f697655a1e8",
+        "manifest.json": "addfe153d7f01467e99f2d69d7d72f432faca382159daff1f43508ee7693a405",
+        "slice_0.csv": "550a4aa33a64e639aeb9efea36257669ad017e4910dbbbd0c5102f697655a1e8",
+        "slice_1.csv": "cbd5630508fcdf88875a90c93511b099da98c05fee55513088f4a7c1b8a187b9",
+        "stdout": "98d6dc40026f06a56adcbab4050079bf1e3caf62e85f06e7e51d4ce330cbb592",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLICES_DIGESTS))
+def test_slices_outputs_match_their_digests(tmp_path, capsys, case):
+    model, subshift, delta = case
+    assert run_cli("slices", "--model", model, "--subshift", subshift, "--delta", delta, "--out", str(tmp_path)) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == SLICES_DIGESTS[case]
 
 
 def test_bad_model_exits_2(tmp_path):

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from choicedyn import models
+from choicedyn import models, restricted
 from choicedyn.restricted import (
     enumerate_slices,
     save_slice_report,
@@ -40,6 +41,7 @@ def test_vertex_limits_three_point(three_point, golden_even_family):
     assert models.label_cloud(family.clouds["A"]) == frozenset("AB")
     assert models.label_cloud(family.clouds["B"]) == frozenset("BC")
     assert models.label_cloud(family.clouds["C"]) == frozenset("BC")
+    assert family.clouds["B"] is family.clouds["C"]  # equal vertex clouds are one object
 
 
 def test_vertex_limits_full_shift_reduces_to_K():
@@ -112,6 +114,7 @@ def test_enumerate_slices_three_point(three_point, golden_even_family):
     # K_Lambda is the union of all slices and of all vertex clouds
     assert PointCloud.union(report.slices) == report.k_lambda
     assert report.k_lambda == family.union()
+    assert report.slices[report.representatives["(001)"]] is report.k_lambda
     # representative strings classify by slice
     assert report.representatives["(001)"] != report.representatives["(100)"]
     assert report.representatives["(100)"] == report.representatives["(010)"]
@@ -229,6 +232,7 @@ def test_decomposition_three_point(three_point, golden_even_family):
     report = enumerate_slices(three_point, pres, family, period_bound=6)
     ok, residuals = verify_decomposition(report, three_point)
     assert ok
+    assert all(a is report.k_lambda for a in report.a_sets)  # every A_j is all of K_Lambda
     assert residuals["union"] == 0.0
     assert residuals["mapped"] == 0.0
 
@@ -289,6 +293,52 @@ def test_vertex_limits_reports_its_tol_exit():
     slow = models.build_model("malaria", {"dt": 0.005})
     family = vertex_limits(slow, builtin("golden_mean"), delta=0.02)
     assert family.stop == "tol" and family.iterations == 2 and family.all_converged
+    assert {v: c.n for v, c in family.clouds.items()} == {"g0": 2459, "g1": 2385}
+
+
+@pytest.mark.parametrize(
+    "model,subshift,delta",
+    [
+        *[(models.build_model("malaria", {"dt": 0.005}), sub, delta)
+          for sub in ("golden_mean", "even_shift", "golden_even") for delta in (0.02, 0.01)],
+        (models.build_model("gestalt"), "golden_mean", 0.0),  # the dsigma metric
+    ],
+)
+def test_removed_node_residual_is_the_hausdorff_step(monkeypatch, model, subshift, delta):
+    # at every sweep, each vertex's residual from its removed nodes equals the
+    # two-sided Hausdorff distance of its masks before and after the sweep
+    steps = []
+    recurrence = restricted._recurrence
+
+    def spy(g, step, start, *args, early, **kwargs):
+        def checked(prev, masks):
+            steps.extend((restricted._removed_distance(g, a, b), g.distance(b, a)) for a, b in zip(prev, masks))
+            return early(prev, masks)
+
+        return recurrence(g, step, start, *args, early=checked, **kwargs)
+
+    monkeypatch.setattr(restricted, "_recurrence", spy)
+    family = vertex_limits(model, builtin(subshift), delta=delta)
+    sweeps = family.iterations - (family.stop == "cycle")  # a recurrence ends its sweep before the residual
+    assert len(steps) == sweeps * len(family.clouds) > 0
+    assert all(one == two for one, two in steps)
+    assert any(0 < two < math.inf for _, two in steps)
+
+
+def test_vertex_limits_rejects_a_seed_flagged_absorbing_that_grows():
+    # the seed {0, 1} maps onto {0, 0.5, 1}: its vertex cloud grows
+    model = ModelSpec(
+        name="halves",
+        dim=1,
+        maps=(lambda pts: pts / 2.0, lambda pts: 1.0 - pts / 2.0),
+        scalar_maps=(lambda x: x / 2.0, lambda x: 1.0 - x / 2.0),
+        lower=(0.0,),
+        upper=(1.0,),
+        seeder=lambda delta: np.array([[0.0], [1.0]]),
+        seed_absorbing=True,
+    )
+    with pytest.raises(RuntimeError, match="not absorbing"):
+        vertex_limits(model, builtin("full_shift", 2), delta=0.01)
 
 
 def test_empty_presentation_rejected(three_point):

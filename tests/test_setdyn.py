@@ -75,6 +75,15 @@ def test_union_is_commutative_and_absorbing(a, b, delta):
     assert ca.intersection(u1) == ca
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.25])
+def test_union_returns_an_input_that_is_the_union(delta):
+    whole = PointCloud(np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]), delta)
+    part = PointCloud(whole.points[::2], delta)
+    assert PointCloud.union([whole]) is whole
+    assert PointCloud.union([part, whole]) is whole
+    assert PointCloud.union([whole, part]) is whole
+
+
 def test_cloud_set_semantics():
     a = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]), 0.5)
     b = PointCloud(np.array([[1.0, 1.0], [0.0, 0.0]]), 0.5)
