@@ -203,7 +203,8 @@ def cmd_individual(args) -> int:
             written_at = None
             if os.path.exists(record):
                 with open(record, "r", encoding="utf-8") as fh:
-                    written_at = json.load(fh).get("delta")
+                    written = json.load(fh)
+                written_at = written.get("delta") if isinstance(written, dict) else None
             if written_at != delta:
                 at = f"at delta {written_at!r}" if written_at is not None else f"without a delta in {record!r}"
                 raise ValueError(

@@ -123,9 +123,13 @@ def test_individual_rejects_a_k_csv_written_at_another_delta(tmp_path, capsys, d
     assert run_cli(*argv, "--delta", "0.01") == 0
 
 
-def test_individual_rejects_a_k_csv_without_its_delta(tmp_path, capsys):
+@pytest.mark.parametrize("record", [None, "[0.01]"])
+def test_individual_rejects_a_k_csv_without_its_delta(tmp_path, capsys, record):
     assert run_cli("attractor", "--model", "cantor", "--delta", "0.01", "--out", str(tmp_path)) == 0
-    (tmp_path / "k.json").unlink()
+    if record is None:
+        (tmp_path / "k.json").unlink()
+    else:
+        (tmp_path / "k.json").write_text(record)
     argv = ("individual", "--model", "cantor", "--strategy", "(01)", "--delta", "0.01", "--out", str(tmp_path))
     assert run_cli(*argv) == 2
     assert "k.csv' was written without a delta in" in capsys.readouterr().err
