@@ -56,7 +56,6 @@ _FLAGS = {
     "model": dict(help=f"model name, one of {', '.join(models.MODEL_NAMES)}"),
     "delta": dict(type=float, help="grid resolution (default 0.01 for continuous models; 0, exact, "
                                      "for discrete models and for render)"),
-    "tol": dict(type=float, help="vertex-family tolerance, at least delta (default: delta)"),
     "maxiter": dict(type=int, help="iteration cap (default 1000)"),
     "strategy": dict(help='strategy string "PRE(PER)", e.g. "(10)"'),
     "subshift": dict(help="builtin presentation name or a graph text file"),
@@ -87,7 +86,6 @@ class RunConfig:
     model: str = None
     params: dict = field(default_factory=dict)
     delta: float = None
-    tol: float = None
     maxiter: int = 1000
     strategy: str = None
     subshift: str = None
@@ -166,6 +164,11 @@ def _write_cloud(out_dir: str, stem: str, cloud: PointCloud, model) -> None:
     write_scatter(os.path.join(out_dir, f"{stem}.svg"), cloud.points, xlim=xlim, ylim=ylim)
 
 
+def _k_record(cfg: RunConfig, delta: float) -> dict:
+    """What k.json records of a run: its delta, its model name as build_model reads it, and its params."""
+    return {"delta": delta, "model": cfg.model.strip().lower(), "params": cfg.params}
+
+
 def cmd_attractor(args) -> int:
     cfg = RunConfig.load(args)
     model, delta = _model_from(cfg)
@@ -173,7 +176,7 @@ def cmd_attractor(args) -> int:
         report = compute_K(model, delta, maxiter=cfg.maxiter)
     _write_cloud(cfg.out, "k", report.cloud, model)
     with open(os.path.join(cfg.out, "k.json"), "w", encoding="utf-8") as fh:
-        json.dump({"delta": delta}, fh)  # read back by individual
+        json.dump(_k_record(cfg, delta), fh)  # read back by individual
     print(
         f"K: {report.cloud.n} points at delta={delta}, "
         f"{report.iterations} iterations, residual {report.residual:.3e}, stop {report.stop}"
@@ -199,18 +202,19 @@ def cmd_individual(args) -> int:
             if K.n == 0 or K.dim != model.dim:
                 held = f"{K.dim}-D points" if K.n else "no points"
                 raise ValueError(f"{k_path!r} holds {held}; model {model.name!r} is {model.dim}-D")
-            record = os.path.join(cfg.out, "k.json")  # the delta attractor wrote k.csv at
-            written_at = None
+            record = os.path.join(cfg.out, "k.json")  # what attractor wrote k.csv for
+            written = {}
             if os.path.exists(record):
                 with open(record, "r", encoding="utf-8") as fh:
                     written = json.load(fh)
-                written_at = written.get("delta") if isinstance(written, dict) else None
-            if written_at != delta:
-                at = f"at delta {written_at!r}" if written_at is not None else f"without a delta in {record!r}"
-                raise ValueError(
-                    f"{k_path!r} was written {at}, not at delta {delta!r}; "
-                    "run attractor at that delta or use another --out"
-                )
+            written = written if isinstance(written, dict) else {}
+            for key, ours in _k_record(cfg, delta).items():
+                if key not in written or written[key] != ours:
+                    at = f"at {key} {written[key]!r}" if key in written else f"without a {key} in {record!r}"
+                    raise ValueError(
+                        f"{k_path!r} was written {at}, not at {key} {ours!r}; "
+                        "run attractor with this run's settings or use another --out"
+                    )
         report = individual_attractor(model, w, delta)
     _write_cloud(cfg.out, "a_w", report.cloud, model)
     print(
@@ -230,7 +234,7 @@ def cmd_slices(args) -> int:
     model, delta = _model_from(cfg)
     pres = _subshift_from(cfg, model.n_maps)
     with _config_errors():
-        family = vertex_limits(model, pres, delta, tol=cfg.tol, maxiter=cfg.maxiter)
+        family = vertex_limits(model, pres, delta, maxiter=cfg.maxiter)
         report = enumerate_slices(model, pres, family, period_bound=cfg.period_bound)
     save_slice_report(report, cfg.out)
     ok, residuals = verify_decomposition(report, model)
@@ -305,7 +309,7 @@ _COMMANDS = {
     "individual": (cmd_individual, "compute the individual attractor A_w for --strategy",
                    ("model", "params", "delta", "strategy")),
     "slices": (cmd_slices, "compute restricted-choice slices for --subshift",
-               ("model", "params", "delta", "tol", "maxiter", "subshift", "period_bound")),
+               ("model", "params", "delta", "maxiter", "subshift", "period_bound")),
     "chaos": (cmd_chaos, "run the chaos game and report the observable average",
               ("model", "params", "delta", "seed", "probs", "steps", "burnin", "x0")),
     "verify": (cmd_verify, "run the acceptance criteria and write verify.json", ("params", "only")),

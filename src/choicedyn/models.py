@@ -154,7 +154,7 @@ def malaria_single(p: MalariaParams = PSET0) -> ModelSpec:
 LINE_RADIUS = 1.0e6
 
 
-def line_counterexample(radius: float = LINE_RADIUS, seed_points: int = 2001) -> ModelSpec:
+def line_counterexample(radius: float = LINE_RADIUS) -> ModelSpec:
     """Two piecewise-linear maps on R whose alternation is unbounded.
 
     S0(x) = 0 for x <= 0 and -2x for x > 0; S1 mirrors it.  Each map alone
@@ -179,7 +179,7 @@ def line_counterexample(radius: float = LINE_RADIUS, seed_points: int = 2001) ->
         return -2.0 * x if x <= 0.0 else 0.0
 
     def seed(delta):
-        return np.linspace(-radius / 2.0, radius / 2.0, seed_points)[:, None]
+        return np.linspace(-radius / 2.0, radius / 2.0, 2001)[:, None]
 
     return ModelSpec(
         name="line",
@@ -452,7 +452,6 @@ _BUILDERS = {
     "three_point": ((), lambda p: three_point_model()),
 }
 MODEL_NAMES = tuple(_BUILDERS)
-_BUILDERS["malaria_single"] = _BUILDERS["malaria0"]  # an alias, left out of MODEL_NAMES
 
 
 def build_model(name: str, params: dict = None) -> ModelSpec:

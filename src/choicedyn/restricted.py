@@ -53,7 +53,6 @@ def vertex_limits(
     model: ModelSpec,
     pres: SoficPresentation,
     delta: float,
-    tol: float = None,
     maxiter: int = 1000,
 ) -> VertexFamily:
     """Iterate the graph-indexed set update to its fixed family.
@@ -62,18 +61,14 @@ def vertex_limits(
     C_v by the snapped union of S_j(C_u) over edges (u -j-> v).  Sweeps are
     Jacobi-style: all vertices advance from the same snapshot, up to the
     family's first recurrence or, from an absorbing seed, a sweep that
-    moves no vertex cloud by more than ``tol`` (default and least value:
-    delta).  From an absorbing seed the clouds only shrink, so a cloud moves
-    by the distance from the nodes the sweep removed to the new cloud, which
-    is the Hausdorff distance of the two clouds; a cloud that grows there
-    raises RuntimeError.  Equal vertex clouds are one object.
+    moves no vertex cloud by more than delta.  From an absorbing seed the
+    clouds only shrink, so a cloud moves by the distance from the nodes the
+    sweep removed to the new cloud, which is the Hausdorff distance of the
+    two clouds; a cloud that grows there raises RuntimeError.  Equal vertex
+    clouds are one object.
     """
     if pres.is_empty:
         raise ValueError("presentation is empty")
-    if tol is None:
-        tol = float(delta)
-    if tol < delta:
-        raise ValueError("tol must be at least delta")
     g = _Graph(model, delta)
     # a vertex without live incoming edges gets the empty set: no long word ends there
     incoming = [[(pres.vertices.index(u), j) for u, j, dst in sorted(pres.edges) if dst == v] for v in pres.vertices]
@@ -84,9 +79,9 @@ def vertex_limits(
             raise RuntimeError(f"model {model.name!r}: seed_absorbing seed is not absorbing")
         return new
 
-    def early(prev, masks):  # from an absorbing seed: no vertex cloud moved by more than tol
+    def early(prev, masks):  # from an absorbing seed: no vertex cloud moved by more than delta
         residual = max(_removed_distance(g, old, new) for old, new in zip(prev, masks))
-        return residual if residual <= tol else None
+        return residual if residual <= delta else None
 
     states, k, residual, stop = _recurrence(
         g, sweep, (np.ones(g.n, bool),) * len(pres.vertices), maxiter=maxiter,

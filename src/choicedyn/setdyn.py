@@ -564,13 +564,12 @@ def chaos_game(
     burnin: int,
     rng_seed: int,
     delta: float,
-    observable=None,
 ):
     """Random iteration: pick S_j with probability probs[j] each step.
 
     Returns ``(cloud, mean)`` where the cloud collects the post-burn-in
     points snapped at delta and mean is the empirical average of the
-    observable (default: first coordinate) over the post-burn-in orbit.
+    observable, the first coordinate, over the post-burn-in orbit.
     Identical rng_seed gives bit-identical results.
     """
     probs = np.asarray(probs, dtype=float)
@@ -601,6 +600,5 @@ def chaos_game(
     model.escape_check(buf, delta)
     tail = buf[burnin:]
     cloud = PointCloud(tail, delta)
-    obs = observable if observable is not None else (lambda a: a[:, 0])
-    mean = float(np.mean(obs(tail)))
+    mean = float(np.mean(tail[:, 0]))
     return cloud, mean

@@ -55,17 +55,11 @@ class SoficPresentation:
 
     @cached_property
     def _step(self) -> dict:
-        table: dict = {}
-        for src, sym, dst in self.edges:
-            table.setdefault((src, sym), set()).add(dst)
-        return {k: frozenset(v) for k, v in table.items()}
+        return _label_table(self.edges)
 
     @cached_property
     def _back(self) -> dict:
-        table: dict = {}
-        for src, sym, dst in self.edges:
-            table.setdefault((dst, sym), set()).add(src)
-        return {k: frozenset(v) for k, v in table.items()}
+        return _label_table((dst, sym, src) for src, sym, dst in self.edges)
 
     @property
     def is_empty(self) -> bool:
@@ -95,34 +89,31 @@ class SoficPresentation:
         return SoficPresentation.make(n_symbols, edges)
 
 
-def _forward(pres: SoficPresentation, frontier: frozenset, word) -> frozenset:
-    step = pres._step
-    for sym in word:
-        nxt = frozenset().union(*(step.get((v, sym), frozenset()) for v in frontier)) if frontier else frozenset()
-        frontier = nxt
+def _label_table(edges) -> dict:
+    """(a, symbol) -> the frozenset of b over the edges (a, symbol, b)."""
+    table: dict = {}
+    for a, sym, b in edges:
+        table.setdefault((a, sym), set()).add(b)
+    return {k: frozenset(v) for k, v in table.items()}
+
+
+def _walk(table: dict, frontier: frozenset, symbols) -> frozenset:
+    """The vertices reached from frontier by reading symbols, in order, through table."""
+    for sym in symbols:
+        frontier = frozenset().union(*(table.get((v, sym), frozenset()) for v in frontier))
         if not frontier:
             break
     return frontier
 
 
-def _backward(pres: SoficPresentation, targets: frozenset, word) -> frozenset:
-    back = pres._back
-    for sym in reversed(tuple(word)):
-        prev = frozenset().union(*(back.get((v, sym), frozenset()) for v in targets)) if targets else frozenset()
-        targets = prev
-        if not targets:
-            break
-    return targets
-
-
 def accepts(pres: SoficPresentation, word: Word) -> bool:
     """True iff some infinite path in the pruned graph starts with labels ``word``."""
-    return bool(_forward(pres, frozenset(pres.vertices), word))
+    return bool(_walk(pres._step, frozenset(pres.vertices), word))
 
 
 def path_ends(pres: SoficPresentation, word: Word) -> frozenset:
     """Terminal vertices of accepting paths labeled ``word``; raises if rejected."""
-    ends = _forward(pres, frozenset(pres.vertices), word)
+    ends = _walk(pres._step, frozenset(pres.vertices), word)
     if not ends:
         raise ValueError(f"word {word} is not accepted by the presentation")
     return ends
@@ -136,11 +127,11 @@ def start_vertices(pres: SoficPresentation, u: UPString) -> frozenset:
     """
     targets = frozenset(pres.vertices)
     while True:
-        shrunk = _backward(pres, targets, u.period)
+        shrunk = _walk(pres._back, targets, reversed(u.period))
         if shrunk == targets:
             break
         targets = shrunk
-    return _backward(pres, targets, u.preperiod)
+    return _walk(pres._back, targets, reversed(u.preperiod))
 
 
 def intersect(p1: SoficPresentation, p2: SoficPresentation) -> SoficPresentation:
@@ -186,7 +177,7 @@ def language(pres: SoficPresentation, max_len: int) -> set:
         nxt = {}
         for word, frontier in layer.items():
             for sym in range(pres.n_symbols):
-                ext = _forward(pres, frontier, (sym,))
+                ext = _walk(pres._step, frontier, (sym,))
                 if ext:
                     nxt[word + (sym,)] = ext
         layer = nxt

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+SIZE = 480  # width in pixels
+COLOR = "#1f4e8c"
 
-def scatter_svg(points, xlim=None, ylim=None, size=480, radius=None, color="#1f4e8c") -> str:
+
+def scatter_svg(points, xlim=None, ylim=None) -> str:
     """Render points (1-D points are laid out on the x-axis) as an SVG string."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -21,24 +24,22 @@ def scatter_svg(points, xlim=None, ylim=None, size=480, radius=None, color="#1f4
     spanx = (x1 - x0) or 1.0
     spany = (y1 - y0) or 1.0
     pad = 0.04
-    if radius is None:
-        radius = max(spanx, spany) * 0.004
-    width = size
-    height = int(round(size * spany / spanx)) or size
+    radius = max(spanx, spany) * 0.004
+    height = int(round(SIZE * spany / spanx)) or SIZE
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{height}" '
         f'viewBox="{x0 - pad * spanx:.6f} {-(y1 + pad * spany):.6f} '
         f'{spanx * (1 + 2 * pad):.6f} {spany * (1 + 2 * pad):.6f}">',
         f'<rect x="{x0:.6f}" y="{-y1:.6f}" width="{spanx:.6f}" height="{spany:.6f}" '
         'fill="none" stroke="#999999" stroke-width="0.2%"/>',
     ]
     for row in pts:
-        lines.append(f'<circle cx="{row[0]:.6f}" cy="{-row[1]:.6f}" r="{radius:.6f}" fill="{color}"/>')
+        lines.append(f'<circle cx="{row[0]:.6f}" cy="{-row[1]:.6f}" r="{radius:.6f}" fill="{COLOR}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def write_scatter(path, points, xlim=None, ylim=None, **kw) -> None:
+def write_scatter(path, points, xlim=None, ylim=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scatter_svg(points, xlim=xlim, ylim=ylim, **kw))
+        fh.write(scatter_svg(points, xlim=xlim, ylim=ylim))

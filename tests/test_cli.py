@@ -136,6 +136,66 @@ def test_individual_rejects_a_k_csv_without_its_delta(tmp_path, capsys, record):
     assert not (tmp_path / "a_w.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "written,run,message",
+    [  # a K of dt = 0.01 would measure A_w of dt = 0.005 against the wrong set
+        ({"model": "malaria"}, {"model": "malaria", "params": {"dt": 0.005}, "strategy": "(10)"},
+         "at params {}, not at params {'dt': 0.005}"),
+        ({"model": "malaria0"}, {"model": "malaria", "strategy": "(0)"}, "at model 'malaria0', not at model 'malaria'"),
+    ],
+    ids=["params", "model"],
+)
+def test_individual_rejects_a_k_csv_of_another_model_or_params(tmp_path, capsys, written, run, message):
+    def cli(command, entries):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.02, **entries}))
+        return run_cli(command, "--config", str(cfg), "--out", str(tmp_path))
+
+    assert cli("attractor", written) == 0
+    assert cli("individual", run) == 2
+    assert f"k.csv' was written {message}" in capsys.readouterr().err
+    assert not (tmp_path / "a_w.csv").exists()
+    # the model name is compared as build_model reads it
+    assert cli("individual", {"model": written["model"].upper(), "strategy": "(0)"}) == 0
+
+
+# sha256 of each file `attractor` and `individual` write and of their stdout;
+# k.json is compared by its content
+RUN_DIGESTS = {
+    ("attractor", "--model", "cantor", "--delta", "1e-3"): {
+        "k.csv": "27d8be5aa70da4332d6c4898c023718fa677bbdb670a7bea3a670bbb2a36c9b0",
+        "k.svg": "49e02c4ec0f1a130942bf315c631d76184c13fd95d2cce869892cd169de3a054",
+        "stdout": "8cf18df6bc81b0d28a9ca8eed6f1f75bcb754125130a1996568e0347b297ee30",
+    },
+    ("attractor", "--model", "malaria", "--delta", "0.02"): {
+        "k.csv": "6fd23ca8b19b83ff608b214204849a7633f34a067584f31ace3cd2a767c45c04",
+        "k.svg": "5bb2dcf160dfe64ad0b6bf65ac00cdd386ca790cbfd056c6d4b07959be204995",
+        "stdout": "fb022bd441c49eafb5fdc65452a6300025dc760d71ac597a3d36706efe7e9038",
+    },
+    ("individual", "--model", "malaria", "--strategy", "(10)", "--delta", "0.02"): {
+        "a_w.csv": "9f36845f4ed4507113aee6e118a5b4f10a1cbc4f317bae0781565588d86abbf3",
+        "a_w.svg": "771dab36377221ddb7c48d0eb3c2ff8b6946a1fdf020b1dd5ce7bfd4687fdb9e",
+        "stdout": "8cc60b74f34625982bc4376756213a4db2ef47264da0a0da956c4243994983dc",
+    },
+    ("individual", "--model", "gestalt", "--strategy", "(011)"): {
+        "a_w.csv": "ad35c59825187164be8699b2a53853e4c6d3bbac14a7583615f0bc346a23db33",
+        "a_w.svg": "8102c9c405c5e086199b5d704c5351a9aa21f9d6e6767d3a2cf9588106ffae0b",
+        "stdout": "27f0cd7387fb9050dd02ffbcdd43415948a5c5fc98842a0e06f3715b08d542ae",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(RUN_DIGESTS), ids=" ".join)
+def test_run_outputs_match_their_digests(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir() if p.name != "k.json"}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == RUN_DIGESTS[argv]
+    if argv[0] == "attractor":
+        record = {"delta": float(argv[-1]), "model": argv[2], "params": {}}
+        assert json.loads((tmp_path / "k.json").read_text()) == record
+
+
 # sha256 of each file `slices` writes and of its stdout; the vertex-family
 # residual and the sharing of equal sets in reports must not change them
 SLICES_DIGESTS = {
@@ -197,13 +257,6 @@ def test_slices_three_point(tmp_path, capsys):
     assert manifest["distinct_slices"] == 2
     assert (out / "slice_0.csv").exists() and (out / "k_lambda.csv").exists()
     assert (out / "a_0.csv").exists() and (out / "a_1.csv").exists()
-
-
-@pytest.mark.parametrize("tol", ["0.001", "-1"])
-def test_slices_tol_below_delta_exits_2(tmp_path, capsys, tol):
-    argv = ("slices", "--model", "malaria", "--subshift", "golden_mean", "--delta", "0.05", "--tol", tol)
-    assert run_cli(*argv, "--out", str(tmp_path)) == 2
-    assert "tol must be at least delta" in capsys.readouterr().err
 
 
 def test_runs_that_take_no_distance_never_load_scipy(tmp_path):
@@ -340,11 +393,12 @@ def test_verify_detects_corrupted_params(tmp_path, capsys):
 READS = {
     "attractor": {"model", "params", "delta", "maxiter"},
     "individual": {"model", "params", "delta", "strategy"},
-    "slices": {"model", "params", "delta", "tol", "maxiter", "subshift", "period_bound"},
+    "slices": {"model", "params", "delta", "maxiter", "subshift", "period_bound"},
     "chaos": {"model", "params", "delta", "seed", "probs", "steps", "burnin", "x0"},
     "verify": {"params", "only"},
     "render": {"delta"},
 }
+# no command reads tol: `slices --tol` is a usage error too
 FLAGS = ("model", "delta", "tol", "maxiter", "strategy", "subshift", "seed", "only")
 CONFIG_VALUES = {
     "model": "cantor", "params": {}, "delta": 0.1, "tol": 0.1, "maxiter": 5, "strategy": "(0)",

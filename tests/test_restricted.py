@@ -281,13 +281,6 @@ def test_save_slice_report_round_trip(tmp_path, three_point, golden_even_family)
     assert PointCloud.from_csv((tmp_path / "k_lambda.csv").read_text(), report.delta) == report.k_lambda
 
 
-def test_vertex_limits_rejects_tol_below_delta():
-    mal = models.malaria_model()
-    for tol in (1e-4, -1.0):
-        with pytest.raises(ValueError, match="tol must be at least delta"):
-            vertex_limits(mal, builtin("golden_mean"), delta=1e-3, tol=tol)
-
-
 def test_vertex_limits_reports_its_tol_exit():
     # dt = 0.005 moves the clouds by less than delta = 0.02 long before the limit
     slow = models.build_model("malaria", {"dt": 0.005})
