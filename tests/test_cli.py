@@ -259,6 +259,18 @@ def test_slices_three_point(tmp_path, capsys):
     assert (out / "a_0.csv").exists() and (out / "a_1.csv").exists()
 
 
+@pytest.mark.parametrize("tol", ["0.001", "-1"])
+def test_slices_tol_below_delta_exits_2(tmp_path, capsys, tol):
+    # the vertex-family exit compares with delta, so slices takes no --tol:
+    # a tol below delta is refused before any slice is computed
+    argv = ("slices", "--model", "malaria", "--subshift", "golden_mean", "--delta", "0.05", "--tol", tol)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_runs_that_take_no_distance_never_load_scipy(tmp_path):
     # scipy is imported on first use by the nearest-neighbour distances only
     script = """
