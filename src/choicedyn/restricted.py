@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setdyn import ModelSpec, PointCloud, _Graph, _nearest_distances, _recurrence, directed_distance, hausdorff
+from .setdyn import (
+    ModelSpec, PointCloud, _check_symbols, _Graph, _nearest_distances, _recurrence, directed_distance, hausdorff,
+)
 from .sofic import SoficPresentation, start_vertices
 from .symbolic import UPString, enumerate_words
 
@@ -69,6 +71,7 @@ def vertex_limits(
     """
     if pres.is_empty:
         raise ValueError("presentation is empty")
+    _check_symbols(model, sorted({j for _, j, _ in pres.edges}))
     g = _Graph(model, delta)
     # a vertex without live incoming edges gets the empty set: no long word ends there
     incoming = [[(pres.vertices.index(u), j) for u, j, dst in sorted(pres.edges) if dst == v] for v in pres.vertices]
@@ -152,10 +155,12 @@ def enumerate_slices(
     """Slices of every UPString with |preperiod| + |period| <= period_bound.
 
     Candidates are all normalized (preperiod, period) pairs over the
-    alphabet; strings outside the subshift are skipped, and slice clouds are
-    deduplicated by set equality (distinct start-vertex sets may still give
-    equal slices).  Also emits K_Lambda as the union of all vertex clouds
-    and the decomposition sets A_j.
+    alphabet; strings outside the subshift are skipped.  A slice depends only
+    on its start-vertex set, so the union is built once per set, for its
+    first strategy, and deduplicated against the slices found so far by set
+    equality (distinct start-vertex sets may still give equal slices).  Also
+    emits K_Lambda as the union of all vertex clouds and the decomposition
+    sets A_j.
     """
     if period_bound < 1:
         raise ValueError("period_bound must be at least 1")
@@ -164,6 +169,7 @@ def enumerate_slices(
     slices = []
     reps = {}
     seen = set()
+    slice_of = {}  # start-vertex set -> index of its slice
     for pre_len in range(0, period_bound):
         for per_len in range(1, period_bound - pre_len + 1):
             for pre in enumerate_words(n, pre_len, cap=word_cap):
@@ -176,14 +182,13 @@ def enumerate_slices(
                     starts = start_vertices(pres, u)
                     if not starts:
                         continue
-                    cloud = PointCloud.union([family.clouds[v] for v in sorted(starts)])
-                    for i, existing in enumerate(slices):
-                        if existing == cloud:
-                            reps[key] = i
-                            break
-                    else:
-                        reps[key] = len(slices)
-                        slices.append(k_lambda if cloud.n == k_lambda.n else cloud)  # a slice lies in K_Lambda
+                    if starts not in slice_of:
+                        cloud = PointCloud.union([family.clouds[v] for v in sorted(starts)])
+                        i = next((i for i, s in enumerate(slices) if s == cloud), len(slices))
+                        if i == len(slices):
+                            slices.append(k_lambda if cloud.n == k_lambda.n else cloud)  # a slice lies in K_Lambda
+                        slice_of[starts] = i
+                    reps[key] = slice_of[starts]
     a_sets = _decomposition_sets(model, k_lambda, k_lambda.delta)
     return SliceReport(
         delta=k_lambda.delta,

@@ -350,27 +350,25 @@ class _Graph:
         return np.concatenate((mask, np.zeros(self.n - len(mask), bool)))
 
     def image(self, pairs, step: int = 0) -> np.ndarray:
-        """Mask of the union of snap(S_j(A)) over the (mask of A, j) pairs.
+        """Mask of the union of snap(S_j(A)) over a list of (mask of A, j) pairs.
 
         Successors missing for live nodes are computed with vectorised
         calls in lexicographic node order, and escape-checked, in chunks of
         ``_CHUNK`` nodes so that a large first step needs little memory.
         """
-        hits = []
         for mask, j in pairs:
-            live = np.flatnonzero(mask)
-            need = live[self.succ[j][live] < 0]
-            need = need[np.argsort(self.code[need])]
+            need = self.fit(mask)
+            need &= self.succ[j] < 0
+            need = self.order[need[self.order]]
             for lo in range(0, len(need), _CHUNK):
                 part = need[lo : lo + _CHUNK]
                 img = np.asarray(self.model.maps[j](self.points(part)), dtype=float)
                 self.model.escape_check(img, self.delta, step=step)
                 ids = self.nodes(img)
                 self.succ[j][part] = ids
-            hits.append(self.succ[j][live])
         out = np.zeros(self.n, bool)
-        for ids in hits:
-            out[ids] = True
+        for mask, j in pairs:
+            out[self.succ[j][: len(mask)][mask]] = True
         return out
 
     def points(self, ids: np.ndarray) -> np.ndarray:
@@ -428,21 +426,26 @@ def hutchinson_step(model: ModelSpec, cloud: PointCloud) -> PointCloud:
     return PointCloud(raw, cloud.delta)
 
 
+def _check_symbols(model: ModelSpec, symbols) -> None:
+    """Raise ValueError naming the first symbol the model has no map for."""
+    for sym in symbols:
+        if not 0 <= sym < model.n_maps:
+            raise ValueError(f"symbol {sym} outside the model's {model.n_maps} maps")
+
+
 def skew_step(model: ModelSpec, point, w: UPString):
     """One step of the skew product: (x, w) -> (S_{w(0)}(x), shift(w))."""
     sym = w.letter_at(0)
-    if not 0 <= sym < model.n_maps:
-        raise ValueError(f"symbol {sym} outside the model's {model.n_maps} maps")
+    _check_symbols(model, (sym,))
     image = model.scalar_maps[sym](point if model.dim > 1 else float(np.atleast_1d(point)[0]))
     return image, _shift(w)
 
 
 def apply_word(model: ModelSpec, word: Word, cloud: PointCloud) -> PointCloud:
     """S_w = S_{w(n-1)} o ... o S_{w(0)} applied to the cloud, snapped once."""
+    _check_symbols(model, word)
     raw = cloud.points
     for k, sym in enumerate(word):
-        if not 0 <= sym < model.n_maps:
-            raise ValueError(f"symbol {sym} outside the model's {model.n_maps} maps")
         raw = np.asarray(model.maps[sym](raw), dtype=float)
         model.escape_check(raw, cloud.delta, step=k + 1)
     return PointCloud(raw, cloud.delta)
@@ -486,9 +489,12 @@ def directed_distance(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> 
 
 
 def hausdorff(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> float:
-    """Hausdorff distance: the max of the two one-sided sup-inf distances."""
+    """Hausdorff distance: the max of the two one-sided sup-inf distances
+    (0 for equal clouds, without building a search tree)."""
     if a.n == 0 or b.n == 0:
         raise ValueError("hausdorff distance needs nonempty clouds")
+    if a == b:
+        return 0.0
     return max(directed_distance(a, b, model), directed_distance(b, a, model))
 
 
@@ -535,6 +541,7 @@ def individual_attractor(
     delta, or the seed size at delta = 0, plus |preperiod| + 4p, p the
     period length) it is the union of the last p + 1 sets, unconverged.
     """
+    _check_symbols(model, w.preperiod + w.period)
     g = _Graph(model, delta, None if seed is None else seed.points)
     p, pre = len(w.period), len(w.preperiod)
     if maxiter is None:

@@ -151,11 +151,14 @@ def builtin(name: str, n_symbols: int = 2) -> SoficPresentation:
 
     golden_mean forbids the factor 11; even_shift requires an even number of
     0s between consecutive 1s; golden_even is their intersection (two or a
-    larger even number of 0s between 1s).
+    larger even number of 0s between 1s).  All but full_shift are over two
+    symbols and reject any other n_symbols.
     """
     key = name.strip().lower()
     if key in ("full", "full_shift"):
         return SoficPresentation.make(n_symbols, [("q", j, "q") for j in range(n_symbols)])
+    if key in ("golden_mean", "even", "even_shift", "golden_even") and n_symbols != 2:
+        raise ValueError(f"builtin presentation {name!r} is over 2 symbols, not {n_symbols}")
     if key == "golden_mean":
         return SoficPresentation.make(2, [("g0", 0, "g0"), ("g0", 1, "g1"), ("g1", 0, "g0")])
     if key in ("even", "even_shift"):

@@ -98,6 +98,20 @@ def test_invalid_delta_exits_2(tmp_path, capsys, argv):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("individual", "--model", "malaria0", "--strategy", "(10)", "--delta", "0.02"),
+        ("slices", "--model", "malaria0", "--subshift", "golden_mean", "--delta", "0.05"),
+    ],
+)
+def test_a_symbol_the_model_has_no_map_for_exits_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+
+
 def test_line_model_at_delta_0_is_no_config_error(tmp_path, capsys):
     # its seeder works at delta = 0, so K runs until the alternating maps escape
     assert run_cli("attractor", "--model", "line", "--delta", "0", "--out", str(tmp_path)) == 4

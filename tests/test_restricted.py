@@ -20,7 +20,7 @@ from choicedyn.setdyn import (
     hausdorff,
 )
 from choicedyn.sofic import SoficPresentation, builtin, start_vertices
-from choicedyn.symbolic import UPString, parse_strategy
+from choicedyn.symbolic import UPString, enumerate_words, parse_strategy
 from choicedyn.verify import product_graph_slice_oracle
 
 
@@ -177,12 +177,9 @@ def _split(text):
     return pre, per.rstrip(")")
 
 
-def test_slices_match_oracle_on_random_presentations(three_point):
-    rng = np.random.default_rng(42)
-    tables = (models._S0_TABLE, models._S1_TABLE)
-    names = sorted(models.THREE_POINTS)
-    checked = 0
-    for _ in range(40):
+def _random_presentations(rng, count=40):
+    """The nonempty ones of count random presentations over 2 symbols with 1 to 3 vertices."""
+    for _ in range(count):
         n_vertices = int(rng.integers(1, 4))
         vertices = [f"v{i}" for i in range(n_vertices)]
         edges = []
@@ -195,8 +192,15 @@ def test_slices_match_oracle_on_random_presentations(three_point):
                 )
             )
         pres = SoficPresentation.make(2, edges)
-        if pres.is_empty:
-            continue
+        if not pres.is_empty:
+            yield pres
+
+
+def test_slices_match_oracle_on_random_presentations(three_point):
+    rng = np.random.default_rng(42)
+    tables = (models._S0_TABLE, models._S1_TABLE)
+    checked = 0
+    for pres in _random_presentations(rng):
         family = vertex_limits(three_point, pres, delta=0.0)
         assert family.all_converged
         for _ in range(5):
@@ -209,6 +213,54 @@ def test_slices_match_oracle_on_random_presentations(three_point):
             assert got == product_graph_slice_oracle(pres, tables, [u])[str(u)]
             checked += 1
     assert checked >= 30
+
+
+def _per_strategy_slices(pres, family, period_bound):
+    """The reference enumeration: one union per strategy, deduplicated by ==."""
+    slices, reps = [], {}
+    for pre_len in range(period_bound):
+        for per_len in range(1, period_bound - pre_len + 1):
+            for pre in enumerate_words(pres.n_symbols, pre_len):
+                for per in enumerate_words(pres.n_symbols, per_len):
+                    u = UPString(pre.letters, per.letters)
+                    starts = start_vertices(pres, u)
+                    if str(u) in reps or not starts:
+                        continue
+                    cloud = PointCloud.union([family.clouds[v] for v in sorted(starts)])
+                    reps[str(u)] = next((i for i, s in enumerate(slices) if s == cloud), len(slices))
+                    slices += [cloud] if reps[str(u)] == len(slices) else []
+    return slices, reps
+
+
+def _check_one_union_per_start_vertex_set(monkeypatch, model, pres, family, period_bound):
+    # the slices, their order and the representatives of the per-strategy
+    # reference, from one union per start-vertex set plus one for K_Lambda
+    union = PointCloud.union
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(PointCloud, "union", staticmethod(lambda clouds: calls.append(1) or union(clouds)))
+        report = enumerate_slices(model, pres, family, period_bound=period_bound)
+    slices, reps = _per_strategy_slices(pres, family, period_bound)
+    assert report.slices == tuple(slices)
+    assert report.representatives == reps
+    assert len(calls) <= len({start_vertices(pres, parse_strategy(key)) for key in reps}) + 1
+
+
+@pytest.mark.parametrize("subshift", ["full_shift", "golden_mean", "even_shift", "golden_even"])
+@pytest.mark.parametrize(
+    "name,params,delta", [("three_point", {}, 0.0), ("malaria", {"dt": 0.005}, 0.02)], ids=["three_point", "malaria"]
+)
+def test_enumerate_slices_builds_one_union_per_start_vertex_set(monkeypatch, name, params, delta, subshift):
+    model = models.build_model(name, params)
+    pres = builtin(subshift)
+    family = vertex_limits(model, pres, delta=delta)
+    _check_one_union_per_start_vertex_set(monkeypatch, model, pres, family, period_bound=6)
+
+
+def test_enumerate_slices_builds_one_union_per_start_vertex_set_on_random_presentations(monkeypatch, three_point):
+    for pres in _random_presentations(np.random.default_rng(42)):
+        family = vertex_limits(three_point, pres, delta=0.0)
+        _check_one_union_per_start_vertex_set(monkeypatch, three_point, pres, family, period_bound=5)
 
 
 @pytest.mark.parametrize("subshift", ["golden_mean", "even_shift", "golden_even"])

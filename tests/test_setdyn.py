@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from choicedyn import models
+from choicedyn import models, setdyn
 from choicedyn.restricted import vertex_limits
 from choicedyn.setdyn import (
     AssumptionViolation,
@@ -118,6 +118,18 @@ def test_hausdorff_basics():
     assert directed_distance(one, both) == 0.0
     with pytest.raises(ValueError):
         hausdorff(one, PointCloud(np.empty((0, 1)), 0.0))
+
+
+def test_hausdorff_of_equal_clouds_builds_no_tree(monkeypatch):
+    def no_tree(a, b):
+        raise AssertionError("built a search tree")
+
+    monkeypatch.setattr(setdyn, "_nearest_distances", no_tree)
+    cloud = PointCloud(np.array([[0.0, 1.0], [0.5, 0.25]]), 0.25)
+    assert hausdorff(cloud, cloud) == 0.0
+    assert hausdorff(cloud, PointCloud(cloud.points.copy(), 0.25)) == 0.0
+    with pytest.raises(AssertionError, match="search tree"):
+        hausdorff(cloud, PointCloud(cloud.points[:1], 0.25))
 
 
 def test_compute_K_matches_ternary_oracle(cantor, cantor_K):
@@ -257,6 +269,14 @@ def test_apply_word_examples():
     just0 = apply_word(cantor, Word("0"), cloud)
     only_map0 = hutchinson_step(models.submodel(cantor, 0), cloud)
     assert just0 == only_map0
+
+
+def test_a_symbol_the_model_has_no_map_for_is_a_value_error():
+    single = models.build_model("malaria0")
+    with pytest.raises(ValueError, match="symbol 1 outside the model's 1 maps"):
+        individual_attractor(single, parse_strategy("(10)"), 0.02)
+    with pytest.raises(ValueError, match="symbol 1 outside the model's 1 maps"):
+        vertex_limits(single, builtin("golden_mean"), 0.05)
 
 
 def test_individual_attractor_single_symbol_reduction(cantor):

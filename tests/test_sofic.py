@@ -45,6 +45,11 @@ def test_builtin_shapes():
     assert len(ge.vertices) == 3
     with pytest.raises(ValueError):
         builtin("no_such_shift")
+    assert len(builtin("full_shift", 3).edges) == 3
+    for name in ("golden_mean", "even_shift", "golden_even"):
+        for n_symbols in (1, 3):
+            with pytest.raises(ValueError, match=f"over 2 symbols, not {n_symbols}"):
+                builtin(name, n_symbols)
 
 
 @pytest.mark.parametrize(
