@@ -357,8 +357,10 @@ class _Graph:
         ``_CHUNK`` nodes so that a large first step needs little memory.
         """
         for mask, j in pairs:
-            need = self.fit(mask)
-            need &= self.succ[j] < 0
+            need = mask & (self.succ[j][: len(mask)] < 0)
+            if not need.any():
+                continue
+            need = self.fit(need)
             need = self.order[need[self.order]]
             for lo in range(0, len(need), _CHUNK):
                 part = need[lo : lo + _CHUNK]
