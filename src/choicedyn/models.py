@@ -128,23 +128,6 @@ def malaria_model(p0: MalariaParams = PSET0, p1: MalariaParams = PSET1) -> Model
         upper=(1.0, 1.0),
         seeder=_grid_seeder((0.0, 0.0), (1.0, 1.0)),
         seed_absorbing=True,
-        meta={"psets": (p0, p1)},
-    )
-
-
-def malaria_single(p: MalariaParams = PSET0) -> ModelSpec:
-    """The N=1 submodel generated by one parameter set."""
-    v, s = _malaria_maps(p)
-    return ModelSpec(
-        name="malaria-single",
-        dim=2,
-        maps=(v,),
-        scalar_maps=(s,),
-        lower=(0.0, 0.0),
-        upper=(1.0, 1.0),
-        seeder=_grid_seeder((0.0, 0.0), (1.0, 1.0)),
-        seed_absorbing=True,
-        meta={"psets": (p,)},
     )
 
 
@@ -189,7 +172,6 @@ def line_counterexample(radius: float = LINE_RADIUS) -> ModelSpec:
         lower=(-radius,),
         upper=(radius,),
         seeder=seed,
-        meta={"radius": radius},
     )
 
 
@@ -322,11 +304,9 @@ def gestalt_model(cfg: GestaltConfig = GestaltConfig()) -> ModelSpec:
         lower=(0.0,),
         upper=(float(2**L - 1),),
         seeder=seed,
-        metric="dsigma",
         discrete=True,
         seed_absorbing=True,
         dsigma_bits=L,
-        meta={"depth": L},
     )
 
 
@@ -390,7 +370,6 @@ def three_point_model() -> ModelSpec:
         seeder=seed,
         discrete=True,
         seed_absorbing=True,
-        meta={"points": THREE_POINTS},
     )
 
 
@@ -445,7 +424,7 @@ def malaria_psets(params: dict) -> tuple:
 # model name -> (params keys it reads, builder from params)
 _BUILDERS = {
     "malaria": (("dt", "pset0", "pset1"), lambda p: malaria_model(*malaria_psets(p))),
-    "malaria0": (("dt", "pset0"), lambda p: malaria_single(malaria_psets(p)[0])),
+    "malaria0": (("dt", "pset0"), lambda p: submodel(malaria_model(*malaria_psets(p)), 0)),
     "cantor": ((), lambda p: cantor_model()),
     "line": (("radius",), lambda p: line_counterexample(radius=p.get("radius", LINE_RADIUS))),
     "gestalt": (("depth",), lambda p: gestalt_model(GestaltConfig(depth=p.get("depth", 12)))),
@@ -463,13 +442,6 @@ def build_model(name: str, params: dict = None) -> ModelSpec:
     if set(params) - set(reads):
         raise ValueError(f"model {key!r} reads only params {list(reads)}, got {sorted(params)}")
     return build(params)
-
-
-def from_config(cfg: dict) -> ModelSpec:
-    """Build a model from {"model": name, "params": {...}, ...} config data."""
-    if "model" not in cfg:
-        raise ValueError('config needs a "model" entry')
-    return build_model(cfg["model"], cfg.get("params"))
 
 
 def load_config(path: str) -> dict:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,7 +223,9 @@ class ModelSpec:
     (used by the chaos-game loop).  ``seeder(delta)`` produces the raw seed
     points that stand in for the bounding region; ``seed_absorbing`` asserts
     that the seed cloud contains every snapped image of itself, which makes
-    attractor iteration monotonically decreasing.
+    attractor iteration monotonically decreasing.  ``dsigma_bits`` > 0 reads
+    points as binary codes of that many letters and measures distances in
+    the code-space metric ``symbolic.d_sigma``; 0 keeps the Euclidean one.
     """
 
     name: str
@@ -233,11 +235,9 @@ class ModelSpec:
     lower: tuple
     upper: tuple
     seeder: object
-    metric: str = "euclidean"
     discrete: bool = False
     seed_absorbing: bool = False
     dsigma_bits: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_maps(self) -> int:
@@ -485,7 +485,7 @@ def directed_distance(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> 
         return 0.0
     if b.n == 0:
         raise ValueError("distance to an empty cloud")
-    if model is not None and model.metric == "dsigma":
+    if model is not None and model.dsigma_bits:
         return _directed_dsigma(a.points, b.points, model.dsigma_bits)
     return float(np.max(_nearest_distances(a.points, b.points)))
 
@@ -518,7 +518,7 @@ def compute_K(
 
     def step(k, s):
         new = g.image([(s[0], j) for j in range(model.n_maps)], step=k)
-        if absorbing and np.count_nonzero(new) > np.count_nonzero(s[0]):
+        if absorbing and (new & ~g.fit(s[0])).any():
             raise RuntimeError(f"model {model.name!r}: seed_absorbing seed is not absorbing")
         return (new,)
 

@@ -1,9 +1,10 @@
 """The acceptance suite: ten numbered criteria with pinned tolerances.
 
-Each criterion returns a CriterionResult with the measured values, so the
-CLI can print one pass/fail line per criterion and emit a machine-readable
-JSON summary.  Heavy artifacts (attractor clouds) are cached on a Context
-and shared between criteria.
+Each criterion builds its own models and attractors and returns whether it
+passed, its seconds and a detail string with the measured values; ``run``
+wraps these in CriterionResults, so the CLI can print one pass/fail line per
+criterion and emit a machine-readable JSON summary.  A Context carries only
+the two malaria parameter sets, which the CLI may override.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import models
 from .restricted import enumerate_slices, vertex_limits
 from .setdyn import (
     AssumptionViolation,
+    ModelSpec,
     PointCloud,
     chaos_game,
     compute_K,
@@ -43,68 +45,21 @@ class CriterionResult:
         return f"{self.cid} {self.name}: {status} ({self.detail}) [{self.seconds:.2f}s]"
 
 
+@dataclass(frozen=True)
 class Context:
-    """Lazily computed shared artifacts; malaria parameters may be overridden."""
+    """The two malaria parameter sets the criteria run on; the CLI may override them."""
 
-    def __init__(self, pset0: models.MalariaParams = models.PSET0, pset1: models.MalariaParams = models.PSET1):
-        self.pset0, self.pset1 = pset0, pset1
-        self._cache: dict = {}
+    pset0: models.MalariaParams = models.PSET0
+    pset1: models.MalariaParams = models.PSET1
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
-    def malaria(self):
-        return self._get("malaria", lambda: models.malaria_model(self.pset0, self.pset1))
-
-    @property
-    def cantor(self):
-        return self._get("cantor", models.cantor_model)
-
-    @property
-    def three_point(self):
-        return self._get("three_point", models.three_point_model)
-
-    @property
-    def gestalt(self):
-        return self._get("gestalt", lambda: models.gestalt_model(models.GestaltConfig(depth=12)))
-
-    @property
-    def line(self):
-        return self._get("line", models.line_counterexample)
-
-    def cantor_K(self):
-        return self._get("cantor_K", lambda: compute_K(self.cantor, delta=1e-4))
-
-    def malaria_K_fine(self):
-        return self._get("malaria_K_fine", lambda: compute_K(self.malaria, delta=1e-3))
-
-    def malaria_K_coarse(self):
-        return self._get("malaria_K_coarse", lambda: compute_K(self.malaria, delta=0.01))
-
-    @property
-    def malaria_slow(self):
-        # the criterion on restricted dynamics pins delta, not the time step;
-        # dt = 0.005 (the finer of the two bundled steps) satisfies its gap,
-        # while at dt = 0.05 the true gap sits near 8.5*delta (see ledger)
-        return self._get(
-            "malaria_slow",
-            lambda: models.malaria_model(replace(self.pset0, dt=0.005), replace(self.pset1, dt=0.005)),
-        )
-
-    def malaria_slow_K(self):
-        return self._get("malaria_slow_K", lambda: compute_K(self.malaria_slow, delta=0.01, maxiter=3000))
-
-    def three_point_K(self):
-        return self._get("three_point_K", lambda: compute_K(self.three_point, delta=0.0))
-
-    def gestalt_K(self):
-        return self._get("gestalt_K", lambda: compute_K(self.gestalt, delta=0.0))
+    def malaria(self, dt: float = None) -> ModelSpec:
+        """The malaria model on both sets, each with time step dt when one is given."""
+        if dt is None:
+            return models.malaria_model(self.pset0, self.pset1)
+        return models.malaria_model(replace(self.pset0, dt=dt), replace(self.pset1, dt=dt))
 
 
-def c01_fixed_points(ctx: Context) -> CriterionResult:
+def c01_fixed_points(ctx: Context) -> tuple:
     """Interior fixed points exact, |S(P)-P| <= 1e-12, under 1 ms."""
     t0 = time.perf_counter()
     fp0 = models.fixed_points(ctx.pset0)
@@ -128,10 +83,10 @@ def c01_fixed_points(ctx: Context) -> CriterionResult:
     detail = "; ".join(problems) if problems else (
         f"P2 = (11/15, 11/16) and (7/25, 7/12); residual {worst:.1e}; {elapsed * 1e6:.0f} us"
     )
-    return CriterionResult("C1", "fixed points exact", not problems, elapsed, detail)
+    return not problems, elapsed, detail
 
 
-def c02_step_bound(ctx: Context) -> CriterionResult:
+def c02_step_bound(ctx: Context) -> tuple:
     """Exact step gate: dt = 0.05 admitted, dt = 0.2 rejected, bound 0.125."""
     t0 = time.perf_counter()
     p = ctx.pset0
@@ -142,15 +97,14 @@ def c02_step_bound(ctx: Context) -> CriterionResult:
     elapsed = time.perf_counter() - t0
     passed = ok_bound and ok_admit and ok_reject
     detail = f"bound={float(bound)}, admits(0.05)={ok_admit}, rejects(0.2)={ok_reject}"
-    return CriterionResult("C2", "step-bound gate", passed, elapsed, detail)
+    return passed, elapsed, detail
 
 
-def c03_cantor_oracle(ctx: Context) -> CriterionResult:
+def c03_cantor_oracle(ctx: Context) -> tuple:
     """compute_K at delta=1e-4 within Hausdorff 2e-4 of the depth-9 digit oracle, < 10 s."""
     delta = 1e-4
     t0 = time.perf_counter()
-    report = compute_K(ctx.cantor, delta=delta)
-    ctx._cache["cantor_K"] = report
+    report = compute_K(models.cantor_model(), delta=delta)
     reference = PointCloud(models.cantor_reference_points(depth=9), delta)
     dist = hausdorff(report.cloud, reference)
     elapsed = time.perf_counter() - t0
@@ -159,20 +113,21 @@ def c03_cantor_oracle(ctx: Context) -> CriterionResult:
         f"hausdorff={dist:.2e} (tol {2 * delta:.1e}), converged={report.converged}, "
         f"n={report.cloud.n}, {elapsed:.2f}s (limit 10s)"
     )
-    return CriterionResult("C3", "Cantor oracle", passed, elapsed, detail)
+    return passed, elapsed, detail
 
 
-def c04_invariance(ctx: Context) -> CriterionResult:
+def c04_invariance(ctx: Context) -> tuple:
     """hausdorff(F(K), K) <= 4*delta for malaria (1e-3), Cantor (1e-4), three-point (0)."""
     t0 = time.perf_counter()
     cases = (
-        ("malaria", ctx.malaria, ctx.malaria_K_fine(), 1e-3),
-        ("cantor", ctx.cantor, ctx.cantor_K(), 1e-4),
-        ("three_point", ctx.three_point, ctx.three_point_K(), 0.0),
+        ("malaria", ctx.malaria(), 1e-3),
+        ("cantor", models.cantor_model(), 1e-4),
+        ("three_point", models.three_point_model(), 0.0),
     )
     problems = []
     measured = []
-    for name, model, report, delta in cases:
+    for name, model, delta in cases:
+        report = compute_K(model, delta=delta)
         if not report.converged:
             problems.append(f"{name}: not converged")
             continue
@@ -183,7 +138,7 @@ def c04_invariance(ctx: Context) -> CriterionResult:
             problems.append(f"{name}: residual {dist:.2e} > {4 * delta:.1e}")
     elapsed = time.perf_counter() - t0
     detail = "; ".join(problems) if problems else ", ".join(measured)
-    return CriterionResult("C4", "Hutchinson invariance", not problems, elapsed, detail)
+    return not problems, elapsed, detail
 
 
 def product_graph_slice_oracle(pres: SoficPresentation, tables, strategies):
@@ -220,7 +175,7 @@ def product_graph_slice_oracle(pres: SoficPresentation, tables, strategies):
     return {str(u): fibre(u) for u in strategies}
 
 
-def c05_two_slices_exact(ctx: Context) -> CriterionResult:
+def c05_two_slices_exact(ctx: Context) -> tuple:
     """Three-point golden+even model: class limit sets and slices exact, < 1 s.
 
     The class limit sets are the distinct per-vertex clouds of vertex_limits
@@ -230,7 +185,7 @@ def c05_two_slices_exact(ctx: Context) -> CriterionResult:
     fibre; they are {A,B,C} when A is a start vertex and {B,C} otherwise.
     """
     t0 = time.perf_counter()
-    model = ctx.three_point
+    model = models.three_point_model()
     pres = builtin("golden_even")
     family = vertex_limits(model, pres, delta=0.0)
     report = enumerate_slices(model, pres, family, period_bound=6)
@@ -255,15 +210,18 @@ def c05_two_slices_exact(ctx: Context) -> CriterionResult:
         + (f", differs on {mismatched[:4]}" if mismatched else "")
         + f"; {elapsed:.2f}s (limit 1s)"
     )
-    return CriterionResult("C5", "exact two-slice result", passed, elapsed, detail)
+    return passed, elapsed, detail
 
 
-def c06_malaria_restricted(ctx: Context) -> CriterionResult:
+def c06_malaria_restricted(ctx: Context) -> tuple:
     """Golden-mean malaria at delta=0.01: 2 slices inside K, overlapping, union < K by > 10*delta."""
     delta = 0.01
     t0 = time.perf_counter()
-    model = ctx.malaria_slow
-    K = ctx.malaria_slow_K().cloud
+    # the criterion pins delta, not the time step; dt = 0.005 (the finer of
+    # the two bundled steps) satisfies its gap, while at dt = 0.05 the true
+    # gap sits near 8.5*delta
+    model = ctx.malaria(dt=0.005)
+    K = compute_K(model, delta=delta, maxiter=3000).cloud
     pres = builtin("golden_mean")
     family = vertex_limits(model, pres, delta=delta, maxiter=3000)
     report = enumerate_slices(model, pres, family, period_bound=4)
@@ -285,16 +243,16 @@ def c06_malaria_restricted(ctx: Context) -> CriterionResult:
     detail = "; ".join(problems) if problems else (
         f"2 slices, overlap, K->union gap {gap:.3f} > {10 * delta}, {elapsed:.1f}s"
     )
-    return CriterionResult("C6", "malaria restricted dynamics", not problems, elapsed, detail)
+    return not problems, elapsed, detail
 
 
-def c07_gestalt(ctx: Context) -> CriterionResult:
+def c07_gestalt(ctx: Context) -> tuple:
     """Depth-12 prefix of 000(100)* is in K but in no A_w with |period| <= 4, < 30 s."""
     t0 = time.perf_counter()
-    model = ctx.gestalt
-    L = model.meta["depth"]
+    model = models.gestalt_model(models.GestaltConfig(depth=12))
+    L = model.dsigma_bits
     target = models.word_to_code(models.GESTALT_OUTSIDER.prefix(L), L)
-    K = ctx.gestalt_K()
+    K = compute_K(model, delta=0.0)
     problems = []
     if not K.converged:
         problems.append("K iteration did not converge")
@@ -320,13 +278,13 @@ def c07_gestalt(ctx: Context) -> CriterionResult:
     detail = "; ".join(problems) if problems else (
         f"prefix in K, absent from all {len(strategies)} periodic strategies, {elapsed:.1f}s"
     )
-    return CriterionResult("C7", "Gestalt effect at depth 12", not problems, elapsed, detail)
+    return not problems, elapsed, detail
 
 
-def c08_counterexample(ctx: Context) -> CriterionResult:
+def c08_counterexample(ctx: Context) -> tuple:
     """Alternating strategy escapes within 25 steps; constant strategies reach {0}."""
     t0 = time.perf_counter()
-    model = ctx.line
+    model = models.line_counterexample()
     problems = []
     seed = PointCloud(np.array([[1.0]]), 0.0)
     try:
@@ -346,7 +304,7 @@ def c08_counterexample(ctx: Context) -> CriterionResult:
     detail = "; ".join(problems) if problems else (
         f"escape at step {step} <= 25; constant strategies converge to 0 exactly"
     )
-    return CriterionResult("C8", "counterexample diagnostics", not problems, elapsed, detail)
+    return not problems, elapsed, detail
 
 
 def _random_upstrings(rng, count: int):
@@ -360,12 +318,12 @@ def _random_upstrings(rng, count: int):
     return out
 
 
-def c09_lemma_suite(ctx: Context) -> CriterionResult:
+def c09_lemma_suite(ctx: Context) -> tuple:
     """A_w inside F(A_w) inside K, A_w inside A_sigma(w), periodic shift equality, all within 2*delta."""
     delta = 0.01
     t0 = time.perf_counter()
-    model = ctx.malaria
-    K = ctx.malaria_K_coarse().cloud
+    model = ctx.malaria()
+    K = compute_K(model, delta=delta).cloud
     rng = np.random.default_rng(90210)
     strategies = _random_upstrings(rng, 20)
     cache: dict = {}
@@ -399,15 +357,15 @@ def c09_lemma_suite(ctx: Context) -> CriterionResult:
     detail = "; ".join(problems[:6]) if problems else (
         f"20 strategies satisfy the nesting and shift inclusions at 2*delta, {elapsed:.1f}s"
     )
-    return CriterionResult("C9", "inclusion suite at delta scale", not problems, elapsed, detail)
+    return not problems, elapsed, detail
 
 
-def c10_chaos_game(ctx: Context) -> CriterionResult:
+def c10_chaos_game(ctx: Context) -> tuple:
     """Cantor chaos game: mean of x over 1e6 post-burn-in steps in [0.49, 0.51], < 5 s."""
     t0 = time.perf_counter()
     burnin = 1000
     _, mean = chaos_game(
-        ctx.cantor,
+        models.cantor_model(),
         probs=(0.5, 0.5),
         x0=0.5,
         steps=1_000_000 + burnin,
@@ -418,62 +376,41 @@ def c10_chaos_game(ctx: Context) -> CriterionResult:
     elapsed = time.perf_counter() - t0
     passed = 0.49 <= mean <= 0.51 and elapsed < 5.0
     detail = f"mean={mean:.5f} (target [0.49, 0.51]), {elapsed:.2f}s (limit 5s)"
-    return CriterionResult("C10", "chaos-game ergodic check", passed, elapsed, detail)
+    return passed, elapsed, detail
 
 
 CRITERIA = (
-    ("C1", c01_fixed_points),
-    ("C2", c02_step_bound),
-    ("C3", c03_cantor_oracle),
-    ("C4", c04_invariance),
-    ("C5", c05_two_slices_exact),
-    ("C6", c06_malaria_restricted),
-    ("C7", c07_gestalt),
-    ("C8", c08_counterexample),
-    ("C9", c09_lemma_suite),
-    ("C10", c10_chaos_game),
+    ("C1", "fixed points exact", c01_fixed_points),
+    ("C2", "step-bound gate", c02_step_bound),
+    ("C3", "Cantor oracle", c03_cantor_oracle),
+    ("C4", "Hutchinson invariance", c04_invariance),
+    ("C5", "exact two-slice result", c05_two_slices_exact),
+    ("C6", "malaria restricted dynamics", c06_malaria_restricted),
+    ("C7", "Gestalt effect at depth 12", c07_gestalt),
+    ("C8", "counterexample diagnostics", c08_counterexample),
+    ("C9", "inclusion suite at delta scale", c09_lemma_suite),
+    ("C10", "chaos-game ergodic check", c10_chaos_game),
 )
 
 
-NAMES = {
-    "C1": "fixed points exact",
-    "C2": "step-bound gate",
-    "C3": "Cantor oracle",
-    "C4": "Hutchinson invariance",
-    "C5": "exact two-slice result",
-    "C6": "malaria restricted dynamics",
-    "C7": "Gestalt effect at depth 12",
-    "C8": "counterexample diagnostics",
-    "C9": "inclusion suite at delta scale",
-    "C10": "chaos-game ergodic check",
-}
-
-
-def _matches(only: str, cid: str) -> bool:
+def _matches(only: str, cid: str, name: str) -> bool:
     want = only.strip().lower()
-    return want == cid.lower() or want in NAMES[cid].lower()
-
-
-def run_criterion(cid: str, ctx: Context) -> CriterionResult:
-    for key, fn in CRITERIA:
-        if key == cid:
-            return fn(ctx)
-    raise ValueError(f"unknown criterion {cid!r}; known: {[k for k, _ in CRITERIA]}")
+    return want == cid.lower() or want in name.lower()
 
 
 def run(only: str = None, ctx: Context = None, echo=None):
     """Run all criteria, or those matching an id ("C3") or name fragment ("gestalt")."""
     ctx = ctx or Context()
     results = []
-    for cid, fn in CRITERIA:
-        if only and not _matches(only, cid):
+    for cid, name, fn in CRITERIA:
+        if only and not _matches(only, cid, name):
             continue
-        res = fn(ctx)
+        res = CriterionResult(cid, name, *fn(ctx))
         results.append(res)
         if echo:
             echo(res.line())
     if only and not results:
-        raise ValueError(f"unknown criterion {only!r}; known: {[k for k, _ in CRITERIA]}")
+        raise ValueError(f"unknown criterion {only!r}; known: {[cid for cid, _, _ in CRITERIA]}")
     return results
 
 

@@ -12,5 +12,5 @@ from choicedyn import verify  # noqa: E402
 
 @pytest.fixture(scope="session")
 def ctx():
-    """Shared acceptance context so heavy attractor runs happen once."""
+    """The acceptance context with the default malaria parameter sets."""
     return verify.Context()

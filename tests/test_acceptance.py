@@ -1,8 +1,8 @@
 """Acceptance gate: every numbered criterion at its stated tolerance.
 
-Each test prints a single pass/fail line for its criterion.  The heavy
-artifacts (attractor clouds) are shared through the session context, so the
-whole gate runs in a few minutes.
+Each test prints a single pass/fail line for its criterion.  Every
+criterion computes its own attractors; the session context only carries the
+default malaria parameter sets.
 
 C5 checks two quantities of the three-point golden+even model.  The class
 limit sets, the distinct per-vertex clouds of vertex_limits, must be
@@ -15,15 +15,17 @@ and {B,C}.  The stated values {A,B} and {B,C} are class limit sets, not
 slices; compared with the slices they would fail on a correct program.
 """
 
-import pytest
+from dataclasses import replace
 
-from choicedyn import verify
+import numpy as np
+
+from choicedyn import models, verify
 
 
 def _run(ctx, cid):
-    result = verify.run_criterion(cid, ctx)
+    [result] = verify.run(only=cid, ctx=ctx)
     print(result.line())
-    assert result.name == verify.NAMES[cid]
+    assert result.cid == cid
     assert result.passed, result.detail
     return result
 
@@ -69,7 +71,22 @@ def test_c10_chaos_game(ctx):
 
 
 def test_criterion_ids_unique_and_complete():
-    ids = [cid for cid, _ in verify.CRITERIA]
+    ids = [cid for cid, _, _ in verify.CRITERIA]
     assert ids == [f"C{i}" for i in range(1, 11)]
     assert len(set(ids)) == len(ids)
-    assert set(verify.NAMES) == set(ids)
+    # each id and each full name selects its own criterion alone
+    for cid, name, _ in verify.CRITERIA:
+        for only in (cid, name):
+            assert [c for c, n, _ in verify.CRITERIA if verify._matches(only, c, n)] == [cid]
+
+
+def test_context_malaria_uses_its_parameter_sets():
+    p0 = models.MalariaParams(a=3, b=5, r=1, m=2, dt=0.02)
+    p1 = models.MalariaParams(a=2, b=7, r=2, m=1, dt=0.02)
+    ctx = verify.Context(p0, p1)
+    pts = np.random.default_rng(11).random((50, 2))
+    for dt, model in ((0.02, ctx.malaria()), (0.005, ctx.malaria(dt=0.005))):
+        expected = models.malaria_model(replace(p0, dt=dt), replace(p1, dt=dt))
+        assert model.n_maps == expected.n_maps == 2
+        for got, want in zip(model.maps, expected.maps):
+            assert np.array_equal(got(pts), want(pts))

@@ -371,19 +371,23 @@ def test_removed_node_residual_is_the_hausdorff_step(monkeypatch, model, subshif
 
 
 def test_vertex_limits_rejects_a_seed_flagged_absorbing_that_grows():
-    # the seed {0, 1} maps onto {0, 0.5, 1}: its vertex cloud grows
-    model = ModelSpec(
-        name="halves",
-        dim=1,
-        maps=(lambda pts: pts / 2.0, lambda pts: 1.0 - pts / 2.0),
-        scalar_maps=(lambda x: x / 2.0, lambda x: 1.0 - x / 2.0),
-        lower=(0.0,),
-        upper=(1.0,),
-        seeder=lambda delta: np.array([[0.0], [1.0]]),
-        seed_absorbing=True,
-    )
-    with pytest.raises(RuntimeError, match="not absorbing"):
-        vertex_limits(model, builtin("full_shift", 2), delta=0.01)
+    # the seed {0, 1} maps onto {0, 0.5, 1}, which has more nodes; two constant
+    # maps send it onto {0.5}, which has fewer nodes but one the seed lacks
+    halves = (lambda pts: pts / 2.0, lambda pts: 1.0 - pts / 2.0), (lambda x: x / 2.0, lambda x: 1.0 - x / 2.0)
+    constant = (lambda pts: np.full_like(pts, 0.5),) * 2, (lambda x: 0.5,) * 2
+    for name, (maps, scalar_maps) in (("halves", halves), ("constant", constant)):
+        model = ModelSpec(
+            name=name,
+            dim=1,
+            maps=maps,
+            scalar_maps=scalar_maps,
+            lower=(0.0,),
+            upper=(1.0,),
+            seeder=lambda delta: np.array([[0.0], [1.0]]),
+            seed_absorbing=True,
+        )
+        with pytest.raises(RuntimeError, match="not absorbing"):
+            vertex_limits(model, builtin("full_shift", 2), delta=0.01)
 
 
 def test_empty_presentation_rejected(three_point):

@@ -149,7 +149,7 @@ def test_compute_K_three_point_exact(three_point):
 
 
 def test_compute_K_single_map_contains_fixed_points():
-    rep = compute_K(models.malaria_single(models.PSET0), delta=1e-3)
+    rep = compute_K(models.build_model("malaria0"), delta=1e-3)
     assert rep.converged
     for pt in models.fixed_points(models.PSET0):
         assert directed_distance(PointCloud(np.array([pt]), 1e-3), rep.cloud) <= 2e-3
@@ -229,19 +229,23 @@ def test_an_escape_from_K_reports_its_step():
 
 
 def test_compute_K_rejects_a_seed_flagged_absorbing_that_grows():
-    # the seed {0, 1} maps onto {0, 0.5, 1}: more nodes than it has
-    model = ModelSpec(
-        name="halves",
-        dim=1,
-        maps=(lambda pts: pts / 2.0, lambda pts: 1.0 - pts / 2.0),
-        scalar_maps=(lambda x: x / 2.0, lambda x: 1.0 - x / 2.0),
-        lower=(0.0,),
-        upper=(1.0,),
-        seeder=lambda delta: np.array([[0.0], [1.0]]),
-        seed_absorbing=True,
-    )
-    with pytest.raises(RuntimeError, match="not absorbing"):
-        compute_K(model, delta=0.25)
+    # the seed {0, 1} maps onto {0, 0.5, 1}, which has more nodes; two constant
+    # maps send it onto {0.5}, which has fewer nodes but one the seed lacks
+    halves = (lambda pts: pts / 2.0, lambda pts: 1.0 - pts / 2.0), (lambda x: x / 2.0, lambda x: 1.0 - x / 2.0)
+    constant = (lambda pts: np.full_like(pts, 0.5),) * 2, (lambda x: 0.5,) * 2
+    for name, (maps, scalar_maps) in (("halves", halves), ("constant", constant)):
+        model = ModelSpec(
+            name=name,
+            dim=1,
+            maps=maps,
+            scalar_maps=scalar_maps,
+            lower=(0.0,),
+            upper=(1.0,),
+            seeder=lambda delta: np.array([[0.0], [1.0]]),
+            seed_absorbing=True,
+        )
+        with pytest.raises(RuntimeError, match="not absorbing"):
+            compute_K(model, delta=0.25)
 
 
 def test_skew_step_matches_orbit():
@@ -448,7 +452,7 @@ def test_delta_invariance_constant(cantor):
 
 def test_dsigma_metric_hausdorff():
     model = models.gestalt_model()
-    L = model.meta["depth"]
+    L = model.dsigma_bits
     a = PointCloud(np.array([[float(models.word_to_code("0" * L, L))]]), 0.0)
     b_code = models.word_to_code("001" + "0" * (L - 3), L)
     b = PointCloud(np.array([[float(b_code)]]), 0.0)
