@@ -14,15 +14,12 @@ from .setdyn import (
     AttractorReport,
     ModelSpec,
     PointCloud,
-    apply_word,
     chaos_game,
     compute_K,
     directed_distance,
     hausdorff,
     hutchinson_step,
     individual_attractor,
-    omega_limit,
-    skew_step,
 )
 from .sofic import SoficPresentation, accepts, builtin, intersect, path_ends, start_vertices
 from .symbolic import (
@@ -62,7 +59,6 @@ __all__ = [
     "VertexFamily",
     "Word",
     "accepts",
-    "apply_word",
     "builtin",
     "chaos_game",
     "compute_K",
@@ -77,13 +73,11 @@ __all__ = [
     "individual_attractor",
     "intersect",
     "models",
-    "omega_limit",
     "parse_strategy",
     "parse_text",
     "path_ends",
     "save_slice_report",
     "shift",
-    "skew_step",
     "slice_cloud",
     "start_vertices",
     "verify_decomposition",

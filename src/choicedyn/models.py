@@ -67,6 +67,7 @@ class MalariaParams:
 
 PSET0 = MalariaParams(a=4, b=6, r=1, m=2)
 PSET1 = MalariaParams(a=2, b=10, r=3, m=2)
+_PSETS = {"pset0": PSET0, "pset1": PSET1}
 
 
 def fixed_points(p: MalariaParams):
@@ -407,24 +408,26 @@ def submodel(model: ModelSpec, j: int) -> ModelSpec:
     )
 
 
-def malaria_psets(params: dict) -> tuple:
-    """(pset0, pset1) from params {"dt", "pset0", "pset1"}; a set left out is PSET0 resp. PSET1."""
-    if set(params) - {"dt", "pset0", "pset1"}:
-        raise ValueError(f"malaria reads only params ['dt', 'pset0', 'pset1'], got {sorted(params)}")
+def _malaria_pset(params: dict, key: str) -> MalariaParams:
+    """Set key, "pset0" or "pset1", from params at their dt; a set left out is PSET0 resp. PSET1."""
     dt = params.get("dt", PSET0.dt)
     try:
-        return tuple(
-            MalariaParams(**params[key], dt=dt) if key in params else replace(default, dt=dt)
-            for key, default in (("pset0", PSET0), ("pset1", PSET1))
-        )
+        return MalariaParams(**params[key], dt=dt) if key in params else replace(_PSETS[key], dt=dt)
     except TypeError as exc:
         raise ValueError(f"malaria params: {exc}") from None
+
+
+def malaria_psets(params: dict) -> tuple:
+    """(pset0, pset1) from params {"dt", "pset0", "pset1"}, as ``_malaria_pset`` reads them."""
+    if set(params) - {"dt", "pset0", "pset1"}:
+        raise ValueError(f"malaria reads only params ['dt', 'pset0', 'pset1'], got {sorted(params)}")
+    return tuple(_malaria_pset(params, key) for key in _PSETS)
 
 
 # model name -> (params keys it reads, builder from params)
 _BUILDERS = {
     "malaria": (("dt", "pset0", "pset1"), lambda p: malaria_model(*malaria_psets(p))),
-    "malaria0": (("dt", "pset0"), lambda p: submodel(malaria_model(*malaria_psets(p)), 0)),
+    "malaria0": (("dt", "pset0"), lambda p: submodel(malaria_model(_malaria_pset(p, "pset0")), 0)),
     "cantor": ((), lambda p: cantor_model()),
     "line": (("radius",), lambda p: line_counterexample(radius=p.get("radius", LINE_RADIUS))),
     "gestalt": (("depth",), lambda p: gestalt_model(GestaltConfig(depth=p.get("depth", 12)))),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .setdyn import (
-    ModelSpec, PointCloud, _check_symbols, _Graph, _nearest_distances, _recurrence, directed_distance, hausdorff,
+    ModelSpec, PointCloud, _check_symbols, _Graph, _nearest_distances, _sweep, directed_distance, hausdorff,
 )
 from .sofic import SoficPresentation, start_vertices
 from .symbolic import UPString, enumerate_words
@@ -76,22 +76,13 @@ def vertex_limits(
     # a vertex without live incoming edges gets the empty set: no long word ends there
     incoming = [[(pres.vertices.index(u), j) for u, j, dst in sorted(pres.edges) if dst == v] for v in pres.vertices]
 
-    def sweep(k, masks):
-        new = tuple(g.image([(masks[u], j) for u, j in edges], step=k) for edges in incoming)
-        if model.seed_absorbing and any((g.fit(b) & ~g.fit(a)).any() for a, b in zip(masks, new)):
-            raise RuntimeError(f"model {model.name!r}: seed_absorbing seed is not absorbing")
-        return new
-
     def early(prev, masks):  # from an absorbing seed: no vertex cloud moved by more than delta
         residual = max(_removed_distance(g, old, new) for old, new in zip(prev, masks))
         return residual if residual <= delta else None
 
-    states, k, residual, stop = _recurrence(
-        g, sweep, (np.ones(g.n, bool),) * len(pres.vertices), maxiter=maxiter,
-        early=early if model.seed_absorbing else None,
-    )
+    masks, k, residual, stop = _sweep(g, incoming, maxiter, early if g.absorbing else None)
     clouds = {}
-    for v, m in zip(pres.vertices, zip(*(states if stop == "cycle" else states[-1:]))):
+    for v, m in zip(pres.vertices, masks):
         cloud = g.cloud(*m)
         clouds[v] = next((c for c in clouds.values() if c == cloud), cloud)
     return VertexFamily(pres, clouds, residual, k, stop)

@@ -8,12 +8,13 @@ lexicographic order, so equal sets compare equal and iteration over a
 bounded region terminates in exact set cycles.
 
 The engine provides the Hutchinson-Barnsley step F(A) = S_0(A) u ... u
-S_{N-1}(A), the global attractor loop, word application, per-strategy
-(individual) attractors, omega-limit sets from a caller seed, and the chaos
-game.  Snapping works point by point, so on the grid each map is a fixed
-table node -> node: K, A_w and the vertex families of ``restricted`` are
-orbits of boolean masks over one lazily built transition graph (the
-set-oriented approach of GAIO), run by one loop to their first recurrence.
+S_{N-1}(A), the global attractor K, per-strategy (individual) attractors,
+also from a caller seed, and the chaos game.  Snapping works point by
+point, so on the grid each map is a fixed table node -> node: K, A_w and
+the vertex families of ``restricted`` are orbits of boolean masks over one
+lazily built transition graph (the set-oriented approach of GAIO), run by
+one loop to their first recurrence.  K is the vertex family of the full
+shift, the one vertex with a loop for each map, so both run one sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbolic import UPString, Word, shift as _shift
+from .symbolic import UPString
 
 
 class AssumptionViolation(RuntimeError):
@@ -243,9 +244,6 @@ class ModelSpec:
     def n_maps(self) -> int:
         return len(self.maps)
 
-    def seed_cloud(self, delta: float) -> PointCloud:
-        return PointCloud(self.seeder(delta), delta)
-
     def diameter(self) -> float:
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
@@ -309,6 +307,7 @@ class _Graph:
             raise ValueError(f"model {model.name!r} is discrete; use delta = 0")
         self.model = model
         self.delta = delta
+        self.absorbing = model.seed_absorbing and seed is None  # the model's own seed, flagged absorbing
         # seeded here so that the float seed is freed before its keys are packed
         keys = _snap(_as_point_array(model.seeder(delta) if seed is None else seed, model.dim), delta)
         if len(keys) == 0 or keys.shape[1] != model.dim:
@@ -402,6 +401,8 @@ def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter
     ``early(s_{k-1}, s_k)`` ends it at s_k ("tol"); ``maxiter`` ends it
     unconverged at the last p + 1 states ("maxiter").
     """
+    if maxiter < 0:
+        raise ValueError(f"maxiter must be non-negative, got {maxiter}")
     tail, seen = [start], {}
     for k in range(maxiter + 1):
         if k:
@@ -416,6 +417,27 @@ def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter
             return tail[-1:], k, residual, "tol"
     residual = max(map(g.distance, tail[0], tail[-1])) if len(tail) > p else math.inf
     return tail, maxiter, residual, "maxiter"
+
+
+def _sweep(g: _Graph, incoming, maxiter: int, early=None):
+    """Jacobi sweeps C'_v = union of snap(S_j(C_u)) over the (u, j) in
+    incoming[v], every C_v starting at all nodes of g: (masks, k, residual, stop).
+
+    masks[v] holds vertex v's masks over the orbit's cycle, or its last mask;
+    the rest is ``_recurrence``'s.  From the model's seed flagged absorbing a
+    sweep that adds a node raises RuntimeError.
+    """
+
+    def sweep(k, masks):
+        new = tuple(g.image([(masks[u], j) for u, j in edges], step=k) for edges in incoming)
+        if g.absorbing and any((g.fit(b) & ~g.fit(a)).any() for a, b in zip(masks, new)):
+            raise RuntimeError(f"model {g.model.name!r}: seed_absorbing seed is not absorbing")
+        return new
+
+    states, k, residual, stop = _recurrence(
+        g, sweep, (np.ones(g.n, bool),) * len(incoming), maxiter=maxiter, early=early
+    )
+    return list(zip(*(states if stop == "cycle" else states[-1:]))), k, residual, stop
 
 
 def hutchinson_step(model: ModelSpec, cloud: PointCloud) -> PointCloud:
@@ -433,24 +455,6 @@ def _check_symbols(model: ModelSpec, symbols) -> None:
     for sym in symbols:
         if not 0 <= sym < model.n_maps:
             raise ValueError(f"symbol {sym} outside the model's {model.n_maps} maps")
-
-
-def skew_step(model: ModelSpec, point, w: UPString):
-    """One step of the skew product: (x, w) -> (S_{w(0)}(x), shift(w))."""
-    sym = w.letter_at(0)
-    _check_symbols(model, (sym,))
-    image = model.scalar_maps[sym](point if model.dim > 1 else float(np.atleast_1d(point)[0]))
-    return image, _shift(w)
-
-
-def apply_word(model: ModelSpec, word: Word, cloud: PointCloud) -> PointCloud:
-    """S_w = S_{w(n-1)} o ... o S_{w(0)} applied to the cloud, snapped once."""
-    _check_symbols(model, word)
-    raw = cloud.points
-    for k, sym in enumerate(word):
-        raw = np.asarray(model.maps[sym](raw), dtype=float)
-        model.escape_check(raw, cloud.delta, step=k + 1)
-    return PointCloud(raw, cloud.delta)
 
 
 def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -511,20 +515,20 @@ def compute_K(
     Stops at the orbit's first recurrence with the union of its cycle, or at
     ``maxiter`` with the last cloud.  From the absorbing seed the clouds only
     shrink, so the recurrence is a fixed point: the grid nodes reachable from
-    a cycle of the maps' node tables.
+    a cycle of the maps' node tables.  K is the vertex family over the full
+    shift, whose one vertex has a loop for each map:
+
+    >>> from choicedyn import models, restricted, sofic
+    >>> m = models.three_point_model()
+    >>> k = compute_K(m, 0.0)
+    >>> k.cloud == restricted.vertex_limits(m, sofic.builtin("full_shift", 2), 0.0).union()
+    True
+    >>> sorted(models.label_cloud(k.cloud)), k.iterations, k.stop
+    (['A', 'B', 'C'], 1, 'cycle')
     """
     g = _Graph(model, delta, None if seed is None else seed.points)
-    absorbing = model.seed_absorbing and seed is None
-
-    def step(k, s):
-        new = g.image([(s[0], j) for j in range(model.n_maps)], step=k)
-        if absorbing and (new & ~g.fit(s[0])).any():
-            raise RuntimeError(f"model {model.name!r}: seed_absorbing seed is not absorbing")
-        return (new,)
-
-    states, k, residual, stop = _recurrence(g, step, (np.ones(g.n, bool),), maxiter=maxiter)
-    masks = [s[0] for s in (states if stop == "cycle" else states[-1:])]
-    return AttractorReport(g.cloud(*masks), k, residual, stop)
+    masks, k, residual, stop = _sweep(g, [[(0, j) for j in range(model.n_maps)]], maxiter)
+    return AttractorReport(g.cloud(*masks[0]), k, residual, stop)
 
 
 def individual_attractor(
@@ -552,17 +556,6 @@ def individual_attractor(
         g, lambda k, s: (g.image([(s[0], w.letter_at(k - 1))], step=k),), (np.ones(g.n, bool),), p, pre, maxiter
     )
     return AttractorReport(g.cloud(*[s[0] for s in states]), k, residual, stop)
-
-
-def omega_limit(
-    model: ModelSpec,
-    seed: PointCloud,
-    w: UPString,
-    delta: float,
-    maxiter: int = None,
-) -> PointCloud:
-    """The omega-limit set of a caller-supplied seed along strategy w."""
-    return individual_attractor(model, w, delta, maxiter=maxiter, seed=seed).cloud
 
 
 def chaos_game(

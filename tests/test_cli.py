@@ -112,6 +112,30 @@ def test_a_symbol_the_model_has_no_map_for_exits_2(tmp_path, capsys, argv):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "argv, maxiter",
+    [
+        (("attractor", "--model", "cantor", "--delta", "0.01"), "-1"),
+        (("slices", "--model", "cantor", "--subshift", "golden_mean", "--delta", "0.01"), "-5"),
+    ],
+)
+def test_a_negative_maxiter_exits_2(tmp_path, capsys, argv, maxiter):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--maxiter", maxiter, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: maxiter must be non-negative, got {maxiter}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, code", [("malaria0", 0), ("malaria", 2)])
+def test_a_dt_only_pset0_admits_builds_malaria0_alone(tmp_path, capsys, model, code):
+    # dt = 0.1 is below PSET0's step bound 0.125 and above PSET1's 1/12
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model, "params": {"dt": 0.1}}))
+    assert run_cli("attractor", "--config", str(cfg), "--delta", "0.05", "--out", str(tmp_path / "run")) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "config error: dt=0.1 violates the step bound 0.08333333333333333\n")
+
+
 def test_line_model_at_delta_0_is_no_config_error(tmp_path, capsys):
     # its seeder works at delta = 0, so K runs until the alternating maps escape
     assert run_cli("attractor", "--model", "line", "--delta", "0", "--out", str(tmp_path)) == 4

@@ -148,6 +148,16 @@ def test_registry_and_config():
         models.build_model("unknown")
 
 
+def test_malaria0_builds_only_the_set_it_uses():
+    # dt = 0.1 is below PSET0's step bound 0.125 and above PSET1's 1/12
+    single = models.build_model("malaria0", {"dt": 0.1})
+    pset0 = models.MalariaParams(4, 6, 1, 2, dt=0.1)
+    pts = np.array([[0.5, 0.5], [0.2, 0.9]])
+    assert single.n_maps == 1 and np.array_equal(single.maps[0](pts), models.malaria_model(pset0).maps[0](pts))
+    with pytest.raises(ValueError, match="dt=0.1 violates the step bound 0.0833"):
+        models.build_model("malaria", {"dt": 0.1})
+
+
 def test_submodel_matches_pset0_dynamics():
     mal = models.malaria_model()
     sub = models.submodel(mal, 0)

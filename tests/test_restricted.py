@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from choicedyn import models, restricted
+from choicedyn import models, restricted, setdyn
 from choicedyn.restricted import (
     enumerate_slices,
     save_slice_report,
@@ -17,7 +17,6 @@ from choicedyn.setdyn import (
     PointCloud,
     compute_K,
     directed_distance,
-    hausdorff,
 )
 from choicedyn.sofic import SoficPresentation, builtin, start_vertices
 from choicedyn.symbolic import UPString, enumerate_words, parse_strategy
@@ -45,12 +44,14 @@ def test_vertex_limits_three_point(three_point, golden_even_family):
 
 
 def test_vertex_limits_full_shift_reduces_to_K():
-    cantor = models.cantor_model()
-    delta = 1e-3
-    K = compute_K(cantor, delta=delta)
-    family = vertex_limits(cantor, builtin("full_shift", 2), delta=delta)
-    (only,) = family.clouds.values()
-    assert hausdorff(only, K.cloud) <= 2 * delta
+    # unrestricted choice is the full shift: K is the union of its vertex family
+    for name, delta, iterations in (("three_point", 0.0, 1), ("gestalt", 0.0, 10), ("cantor", 1e-3, 7),
+                                    ("malaria", 0.02, 14)):
+        model = models.build_model(name)
+        K = compute_K(model, delta)
+        family = vertex_limits(model, builtin("full_shift", 2), delta)
+        assert K.cloud == family.union(), name
+        assert (K.iterations, K.stop) == (family.iterations, family.stop) == (iterations, "cycle"), name
 
 
 def test_vertex_limits_inside_K():
@@ -353,7 +354,7 @@ def test_removed_node_residual_is_the_hausdorff_step(monkeypatch, model, subshif
     # at every sweep, each vertex's residual from its removed nodes equals the
     # two-sided Hausdorff distance of its masks before and after the sweep
     steps = []
-    recurrence = restricted._recurrence
+    recurrence = setdyn._recurrence
 
     def spy(g, step, start, *args, early, **kwargs):
         def checked(prev, masks):
@@ -362,7 +363,7 @@ def test_removed_node_residual_is_the_hausdorff_step(monkeypatch, model, subshif
 
         return recurrence(g, step, start, *args, early=checked, **kwargs)
 
-    monkeypatch.setattr(restricted, "_recurrence", spy)
+    monkeypatch.setattr(setdyn, "_recurrence", spy)
     family = vertex_limits(model, builtin(subshift), delta=delta)
     sweeps = family.iterations - (family.stop == "cycle")  # a recurrence ends its sweep before the residual
     assert len(steps) == sweeps * len(family.clouds) > 0

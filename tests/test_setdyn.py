@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -13,18 +13,15 @@ from choicedyn.setdyn import (
     AssumptionViolation,
     ModelSpec,
     PointCloud,
-    apply_word,
     chaos_game,
     compute_K,
     directed_distance,
     hausdorff,
     hutchinson_step,
     individual_attractor,
-    omega_limit,
-    skew_step,
 )
 from choicedyn.sofic import builtin
-from choicedyn.symbolic import UPString, Word, enumerate_words, parse_strategy, shift
+from choicedyn.symbolic import UPString, d_sigma, enumerate_words, parse_strategy
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +97,7 @@ def test_hutchinson_cantor_corners(cantor):
 
 
 def test_hutchinson_three_point_full_set(three_point):
-    full = three_point.seed_cloud(0.0)
+    full = PointCloud(three_point.seeder(0.0), 0.0)
     assert hutchinson_step(three_point, full) == full
 
 
@@ -182,7 +179,6 @@ def test_compute_K_rejects_bad_resolution(cantor, three_point):
 _ENTRY_POINTS = {
     "compute_K": lambda m, d, seed: compute_K(m, d, seed=seed),
     "individual_attractor": lambda m, d, seed: individual_attractor(m, UPString("", "01"), d, seed=seed),
-    "omega_limit": lambda m, d, seed: omega_limit(m, seed, UPString("", "01"), d),
     "vertex_limits": lambda m, d, seed: vertex_limits(
         m if seed is None else dataclasses.replace(m, seeder=lambda _: seed.points), builtin("golden_mean"), d
     ),
@@ -210,6 +206,22 @@ def test_every_grid_run_rejects_bad_input_alike(name, delta, seed, message):
         with pytest.raises(ValueError) as exc:
             run(model, delta, seed)
         assert str(exc.value) == message, entry
+
+
+def test_a_negative_maxiter_is_a_value_error(cantor):
+    seed = PointCloud(cantor.seeder(0.01), 0.01)
+    runs = {
+        "compute_K": lambda maxiter: compute_K(cantor, 0.01, maxiter=maxiter),
+        "individual_attractor": lambda maxiter: individual_attractor(cantor, UPString("", "01"), 0.01, maxiter=maxiter),
+        "vertex_limits": lambda maxiter: vertex_limits(cantor, builtin("golden_mean"), 0.01, maxiter=maxiter),
+    }
+    for entry, run in runs.items():
+        for maxiter in (-1, -3):
+            with pytest.raises(ValueError, match=f"maxiter must be non-negative, got {maxiter}"):
+                run(maxiter)
+        out = run(0)  # returns the seed, unconverged
+        assert out.stop == "maxiter" and out.iterations == 0, entry
+        assert (out.union() if entry == "vertex_limits" else out.cloud) == seed, entry
 
 
 def test_a_continuous_model_runs_at_delta_0_when_its_seeder_does():
@@ -246,33 +258,6 @@ def test_compute_K_rejects_a_seed_flagged_absorbing_that_grows():
         )
         with pytest.raises(RuntimeError, match="not absorbing"):
             compute_K(model, delta=0.25)
-
-
-def test_skew_step_matches_orbit():
-    mal = models.malaria_model()
-    w = UPString("01", "10")
-    x, s = (0.5, 0.5), w
-    orbit = [x]
-    for _ in range(5):
-        x, s = skew_step(mal, x, s)
-        orbit.append(x)
-    direct = (0.5, 0.5)
-    for k in range(5):
-        direct = mal.scalar_maps[w.letter_at(k)](direct)
-        assert orbit[k + 1] == direct
-    assert s == shift(w, 5)
-
-
-def test_apply_word_examples():
-    line = models.line_counterexample()
-    one = PointCloud(np.array([[1.0]]), 0.0)
-    assert apply_word(line, Word(""), one) == one
-    assert apply_word(line, Word("01"), one).points.ravel().tolist() == [4.0]
-    cantor = models.cantor_model()
-    cloud = PointCloud(np.array([[0.0], [1.0]]), 1e-4)
-    just0 = apply_word(cantor, Word("0"), cloud)
-    only_map0 = hutchinson_step(models.submodel(cantor, 0), cloud)
-    assert just0 == only_map0
 
 
 def test_a_symbol_the_model_has_no_map_for_is_a_value_error():
@@ -375,9 +360,9 @@ def test_individual_attractor_matches_set_orbit_on_gestalt(text):
 
 def test_omega_limit_examples(three_point):
     w = UPString("", "0")
-    from_A = omega_limit(three_point, models.points_cloud(["A"]), w, delta=0.0)
+    from_A = individual_attractor(three_point, w, 0.0, seed=models.points_cloud(["A"])).cloud
     assert models.label_cloud(from_A) == frozenset("BC")
-    bigger = omega_limit(three_point, models.points_cloud(["A", "B"]), w, delta=0.0)
+    bigger = individual_attractor(three_point, w, 0.0, seed=models.points_cloud(["A", "B"])).cloud
     assert from_A.subset_of(bigger)
 
 
@@ -385,7 +370,7 @@ def test_omega_limit_inside_individual_attractor():
     mal = models.malaria_model()
     w = UPString("", "0")
     a_w = individual_attractor(mal, w, delta=0.01)
-    om = omega_limit(mal, PointCloud(np.array([[0.5, 0.5]]), 0.01), w, delta=0.01)
+    om = individual_attractor(mal, w, 0.01, seed=PointCloud(np.array([[0.5, 0.5]]), 0.01)).cloud
     assert directed_distance(om, a_w.cloud) <= 2 * 0.01
 
 
@@ -461,6 +446,24 @@ def test_dsigma_metric_hausdorff():
     assert hausdorff(a, a, model) == 0.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dsigma_distances_match_the_symbolic_metric(data):
+    # the code-space distances of gestalt clouds against symbolic.d_sigma on
+    # the words the codes stand for, as max-min over the points
+    model = models.gestalt_model()
+    L = model.dsigma_bits
+    sets = st.lists(st.integers(0, 2**L - 1), min_size=1, max_size=5, unique=True)
+    a, b = data.draw(sets), data.draw(sets)
+
+    def directed(x, y):
+        return max(min(d_sigma(models.code_to_word(u, L), models.code_to_word(v, L)) for v in y) for u in x)
+
+    ca, cb = (PointCloud(np.array(c, dtype=float)[:, None], 0.0) for c in (a, b))
+    assert directed_distance(ca, cb, model) == directed(a, b)
+    assert hausdorff(ca, cb, model) == max(directed(a, b), directed(b, a))
+
+
 def test_compute_K_is_deterministic():
     mal = models.malaria_model()
     first = compute_K(mal, delta=0.02)
@@ -480,7 +483,7 @@ def test_maxiter_exhaustion_reports_not_converged(cantor):
 def test_maxiter_exit_reports_last_step_distance(maxiter):
     mal = models.malaria_model()
     rep = compute_K(mal, delta=2e-3, maxiter=maxiter)
-    clouds = [mal.seed_cloud(2e-3)]
+    clouds = [PointCloud(mal.seeder(2e-3), 2e-3)]
     for _ in range(maxiter):
         clouds.append(hutchinson_step(mal, clouds[-1]))
     assert not rep.converged and rep.cloud == clouds[-1]
