@@ -14,15 +14,15 @@ K_Lambda}.
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .setdyn import (
-    ModelSpec, PointCloud, _check_symbols, _Graph, _nearest_distances, _sweep, directed_distance, hausdorff,
+    ModelSpec, PointCloud, _check_maxiter, _check_symbols, _decode, _Graph, _rows_isin, _snap, _sweep, hausdorff,
 )
 from .sofic import SoficPresentation, start_vertices
 from .symbolic import UPString, enumerate_words
@@ -62,13 +62,14 @@ def vertex_limits(
     Every vertex starts at the full bounding cloud; one sweep replaces each
     C_v by the snapped union of S_j(C_u) over edges (u -j-> v).  Sweeps are
     Jacobi-style: all vertices advance from the same snapshot, up to the
-    family's first recurrence or, from an absorbing seed, a sweep that
-    moves no vertex cloud by more than delta.  From an absorbing seed the
-    clouds only shrink, so a cloud moves by the distance from the nodes the
-    sweep removed to the new cloud, which is the Hausdorff distance of the
-    two clouds; a cloud that grows there raises RuntimeError.  Equal vertex
-    clouds are one object.
+    family's first recurrence or, from an absorbing seed at delta > 0, a
+    sweep that moves no vertex cloud by more than delta.  From an absorbing
+    seed the clouds only shrink, so a cloud moves by the distance from the
+    nodes the sweep removed to the new cloud, which is the Hausdorff
+    distance of the two clouds; a cloud that grows there raises
+    RuntimeError.  Equal vertex clouds are one object.
     """
+    _check_maxiter(maxiter)
     if pres.is_empty:
         raise ValueError("presentation is empty")
     _check_symbols(model, sorted({j for _, j, _ in pres.edges}))
@@ -80,7 +81,7 @@ def vertex_limits(
         residual = max(_removed_distance(g, old, new) for old, new in zip(prev, masks))
         return residual if residual <= delta else None
 
-    masks, k, residual, stop = _sweep(g, incoming, maxiter, early if g.absorbing else None)
+    masks, k, residual, stop = _sweep(g, incoming, maxiter, early if g.absorbing and g.delta > 0 else None)
     clouds = {}
     for v, m in zip(pres.vertices, masks):
         cloud = g.cloud(*m)
@@ -89,14 +90,28 @@ def vertex_limits(
 
 
 def _removed_distance(g: _Graph, old: np.ndarray, new: np.ndarray) -> float:
-    """Distance from the nodes of mask old missing from mask new to new (inf
-    when new is empty): their Hausdorff distance when new is a subset of old."""
-    removed = g.fit(old) & ~g.fit(new)
-    if not removed.any():
-        return 0.0
-    if not new.any():
-        return math.inf
-    return directed_distance(g.cloud(removed), g.cloud(new), g.model)
+    """Distance from the nodes of mask old missing from mask new to new (their
+    Hausdorff distance when new is a subset of old) if each of them has a
+    node of new next to it, and inf otherwise, where it exceeds delta too.
+
+    On a delta > 0 grid only a node's axis neighbours (key +-1 in one
+    coordinate) lie within delta of it, each at the difference of that one
+    coordinate, which is the float a search tree returns for the pair.
+    """
+    new = g.fit(new)
+    removed = np.flatnonzero(g.fit(old) & ~new)
+    keys = _decode(g.cols, g.code[removed])
+    nearest = np.full(len(removed), np.inf)
+    for c in range(keys.shape[1]):
+        for step in (-1, 1):
+            moved = keys.copy()
+            moved[:, c] += step
+            ids = g.lookup(moved)
+            hit = ids >= 0
+            hit[hit] = new[ids[hit]]
+            gap = np.abs(keys[:, c] * g.delta - moved[:, c] * g.delta)
+            nearest[hit] = np.minimum(nearest[hit], gap[hit])
+    return float(nearest.max(initial=0.0))
 
 
 def slice_cloud(
@@ -124,14 +139,30 @@ class SliceReport:
     a_sets: tuple
 
 
+def _within_delta(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
+    """Which points lie within cloud.delta > 0 of the cloud, up to rounding.
+
+    Only the 3^dim grid nodes around a point's own node can: any other node
+    is at least 1.5 delta away.  Each distance sums the squared coordinate
+    differences in coordinate order, as a search tree does.
+    """
+    delta = cloud.delta
+    own, keys = _snap(points, delta), cloud._keys()
+    found = np.zeros(len(points), bool)
+    for offset in itertools.product((-1, 0, 1), repeat=cloud.dim):
+        node = own + np.array(offset)
+        sq = np.zeros(len(points))
+        for c in range(cloud.dim):
+            sq += (points[:, c] - node[:, c] * delta) ** 2
+        found |= (np.sqrt(sq) <= delta * (1.0 + 1e-9) + 1e-12) & _rows_isin(node, keys)
+    return found
+
+
 def _decomposition_sets(model: ModelSpec, k_lambda: PointCloud, delta: float):
     sets = []
     for fn in model.maps:
         images = np.asarray(fn(k_lambda.points), dtype=float)
-        if delta > 0:  # images within delta of K_Lambda, up to rounding
-            mask = _nearest_distances(images, k_lambda.points) <= delta * (1.0 + 1e-9) + 1e-12
-        else:
-            mask = k_lambda.contains_points(images)
+        mask = _within_delta(images, k_lambda) if delta > 0 else k_lambda.contains_points(images)
         sets.append(k_lambda if mask.all() else PointCloud(k_lambda.points[mask], delta))
     return tuple(sets)
 

@@ -322,20 +322,32 @@ class _Graph:
     def n(self) -> int:
         return len(self.code)
 
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Node ids of the grid keys, -1 for a key that is no node; adds no node."""
+        code = np.zeros(len(keys), np.int64)
+        known = np.ones(len(keys), bool)
+        for col, vals in zip(keys.T, self.cols):
+            rank = np.minimum(np.searchsorted(vals, col), len(vals) - 1)
+            known &= vals[rank] == col
+            code = code * len(vals) + rank
+        ids = self.order[np.minimum(np.searchsorted(self.code, code, sorter=self.order), self.n - 1)]
+        return np.where(known & (self.code[ids] == code), ids, -1)
+
     def nodes(self, points) -> np.ndarray:
         """Node ids of the snapped points; unseen keys become new nodes."""
         keys = _snap(_as_point_array(points, self.model.dim), self.delta)
-        if not all(np.isin(col, vals).all() for col, vals in zip(keys.T, self.cols)):
-            old = _decode(self.cols, self.code)
-            self.cols = [np.union1d(vals, col) for col, vals in zip(keys.T, self.cols)]
-            self._reorder(_codes(self.cols, old))
-        code = _codes(self.cols, keys)
-        ids = self.order[np.minimum(np.searchsorted(self.code, code, sorter=self.order), self.n - 1)]
-        miss = self.code[ids] != code
+        ids = self.lookup(keys)
+        miss = ids < 0
         if miss.any():
-            fresh = np.unique(code[miss])
+            keys = keys[miss]
+            if not all(np.isin(col, vals).all() for col, vals in zip(keys.T, self.cols)):
+                old = _decode(self.cols, self.code)
+                self.cols = [np.union1d(vals, col) for col, vals in zip(keys.T, self.cols)]
+                self._reorder(_codes(self.cols, old))
+            code = _codes(self.cols, keys)
+            fresh = np.unique(code)
             _check_node_count(self.n + len(fresh))
-            ids[miss] = self.n + np.searchsorted(fresh, code[miss])
+            ids[miss] = self.n + np.searchsorted(fresh, code)
             self.succ = [np.concatenate((t, np.full(len(fresh), -1, np.int32))) for t in self.succ]
             self._reorder(np.concatenate((self.code, fresh)))
         return ids
@@ -401,8 +413,6 @@ def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter
     ``early(s_{k-1}, s_k)`` ends it at s_k ("tol"); ``maxiter`` ends it
     unconverged at the last p + 1 states ("maxiter").
     """
-    if maxiter < 0:
-        raise ValueError(f"maxiter must be non-negative, got {maxiter}")
     tail, seen = [start], {}
     for k in range(maxiter + 1):
         if k:
@@ -417,6 +427,12 @@ def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter
             return tail[-1:], k, residual, "tol"
     residual = max(map(g.distance, tail[0], tail[-1])) if len(tail) > p else math.inf
     return tail, maxiter, residual, "maxiter"
+
+
+def _check_maxiter(maxiter: int) -> None:
+    """Raise ValueError for a negative maxiter, before any graph is built."""
+    if maxiter < 0:
+        raise ValueError(f"maxiter must be non-negative, got {maxiter}")
 
 
 def _sweep(g: _Graph, incoming, maxiter: int, early=None):
@@ -457,17 +473,35 @@ def _check_symbols(model: ModelSpec, symbols) -> None:
             raise ValueError(f"symbol {sym} outside the model's {model.n_maps} maps")
 
 
+_PAIRS = 1 << 20  # a directed distance over more point pairs than this queries a search tree
+
+
 def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance from each row of a to its nearest row of b.
 
     scipy is imported here, on first use, because loading it costs more
-    memory and start-up time than most runs spend: runs that take no
-    distance (K from the absorbing seed, a converged A_w, the chaos game)
-    never load it.
+    memory and start-up time than most runs spend: only residuals over
+    more than ``_PAIRS`` point pairs load it.
     """
     from scipy.spatial import cKDTree
 
     return cKDTree(b).query(a, k=1, workers=-1)[0]
+
+
+def _directed_pairs(a: np.ndarray, b: np.ndarray) -> float:
+    """max over rows of a of the Euclidean distance to the nearest row of b,
+    from every pair, in chunks of about ``_CHUNK`` pairs.  The squared
+    coordinate differences are summed in coordinate order and the root is
+    taken last, as the search tree does, so the result is the same float."""
+    worst = 0.0
+    rows = max(1, _CHUNK // len(b))
+    for lo in range(0, len(a), rows):
+        part = a[lo : lo + rows]
+        sq = np.zeros((len(part), len(b)))
+        for c in range(a.shape[1]):
+            sq += np.subtract.outer(part[:, c], b[:, c]) ** 2
+        worst = max(worst, float(sq.min(axis=1).max()))
+    return math.sqrt(worst)
 
 
 def _directed_dsigma(a: np.ndarray, b: np.ndarray, bits: int) -> float:
@@ -484,14 +518,24 @@ def _directed_dsigma(a: np.ndarray, b: np.ndarray, bits: int) -> float:
 
 
 def directed_distance(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> float:
-    """One-sided distance sup_{x in a} dist(x, b)."""
+    """One-sided distance sup_{x in a} dist(x, b).
+
+    The points of a that lie in b are at distance 0; the rest are compared
+    with every point of b up to ``_PAIRS`` pairs, through a search tree
+    above that.
+    """
     if a.n == 0:
         return 0.0
     if b.n == 0:
         raise ValueError("distance to an empty cloud")
     if model is not None and model.dsigma_bits:
         return _directed_dsigma(a.points, b.points, model.dsigma_bits)
-    return float(np.max(_nearest_distances(a.points, b.points)))
+    rest = a.points[~_rows_isin(a.points, b.points)]
+    if len(rest) == 0:
+        return 0.0
+    if len(rest) * b.n > _PAIRS:
+        return float(np.max(_nearest_distances(rest, b.points)))
+    return _directed_pairs(rest, b.points)
 
 
 def hausdorff(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> float:
@@ -526,6 +570,7 @@ def compute_K(
     >>> sorted(models.label_cloud(k.cloud)), k.iterations, k.stop
     (['A', 'B', 'C'], 1, 'cycle')
     """
+    _check_maxiter(maxiter)
     g = _Graph(model, delta, None if seed is None else seed.points)
     masks, k, residual, stop = _sweep(g, [[(0, j) for j in range(model.n_maps)]], maxiter)
     return AttractorReport(g.cloud(*masks[0]), k, residual, stop)
@@ -547,6 +592,8 @@ def individual_attractor(
     delta, or the seed size at delta = 0, plus |preperiod| + 4p, p the
     period length) it is the union of the last p + 1 sets, unconverged.
     """
+    if maxiter is not None:
+        _check_maxiter(maxiter)
     _check_symbols(model, w.preperiod + w.period)
     g = _Graph(model, delta, None if seed is None else seed.points)
     p, pre = len(w.period), len(w.preperiod)

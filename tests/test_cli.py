@@ -310,7 +310,8 @@ def test_slices_tol_below_delta_exits_2(tmp_path, capsys, tol):
 
 
 def test_runs_that_take_no_distance_never_load_scipy(tmp_path):
-    # scipy is imported on first use by the nearest-neighbour distances only
+    # scipy is imported on first use by the search-tree distances only, which
+    # slices never needs: the README's slices line and the benchmark's largest family
     script = """
 import json, sys
 import choicedyn, choicedyn.cli
@@ -326,13 +327,17 @@ print(json.dumps(loaded))
         "attractor": ["attractor", "--model", "malaria", "--delta", "0.02"],
         "individual": ["individual", "--model", "gestalt", "--strategy", "(011)"],
         "chaos": ["chaos", "--model", "malaria", "--delta", "0.02"],
+        "slices": ["slices", "--model", "malaria", "--subshift", "golden_mean", "--delta", "0.01"],
+        "slices dt 0.005": ["slices", "--model", "malaria", "--subshift", "golden_even", "--delta", "0.01",
+                            "--config", str(tmp_path / "slow.json")],
     }
+    (tmp_path / "slow.json").write_text(json.dumps({"params": {"dt": 0.005}}))
     runs = {name: argv + ["--out", str(tmp_path / name)] for name, argv in runs.items()}
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(choicedyn.__file__)))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                           capture_output=True, text=True, env=env, check=True)
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "attractor": [], "individual": [], "chaos": []}
+    assert loaded == {name: [] for name in ["import", *runs]}
 
 
 def test_slices_subshift_from_file(tmp_path):

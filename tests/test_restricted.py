@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from choicedyn import models, restricted, setdyn
 from choicedyn.restricted import (
@@ -342,33 +345,69 @@ def test_vertex_limits_reports_its_tol_exit():
     assert {v: c.n for v, c in family.clouds.items()} == {"g0": 2459, "g1": 2385}
 
 
+def _tree_hausdorff(g, old, new):
+    """The Hausdorff step of two masks, both sides through the search tree."""
+    a, b = g.fit(old), g.fit(new)
+    if np.array_equal(a, b):
+        return 0.0
+    if not b.any():
+        return math.inf
+    pa, pb = g.cloud(a).points, g.cloud(b).points
+    return float(max(setdyn._nearest_distances(pa, pb).max(), setdyn._nearest_distances(pb, pa).max()))
+
+
 @pytest.mark.parametrize(
     "model,subshift,delta",
     [
         *[(models.build_model("malaria", {"dt": 0.005}), sub, delta)
           for sub in ("golden_mean", "even_shift", "golden_even") for delta in (0.02, 0.01)],
         (models.build_model("gestalt"), "golden_mean", 0.0),  # the dsigma metric
+        *[(models.build_model("cantor"), sub, 1e-2) for sub in ("golden_mean", "even_shift", "golden_even")],
     ],
 )
 def test_removed_node_residual_is_the_hausdorff_step(monkeypatch, model, subshift, delta):
-    # at every sweep, each vertex's residual from its removed nodes equals the
-    # two-sided Hausdorff distance of its masks before and after the sweep
-    steps = []
+    # the whole family, stop rule, sweep count and residual are those of a
+    # delta exit on the two-sided Hausdorff step through the search tree,
+    # taken at every sweep from an absorbing seed, delta = 0 included; malaria
+    # at delta = 0.02 and cantor over golden_mean stop on that exit
+    shipped = vertex_limits(model, builtin(subshift), delta=delta)
     recurrence = setdyn._recurrence
 
-    def spy(g, step, start, *args, early, **kwargs):
-        def checked(prev, masks):
-            steps.extend((restricted._removed_distance(g, a, b), g.distance(b, a)) for a, b in zip(prev, masks))
-            return early(prev, masks)
+    def tree_exit(g, step, start, *args, early, **kwargs):
+        def hausdorff_step(prev, masks):
+            residual = max(_tree_hausdorff(g, a, b) for a, b in zip(prev, masks))
+            return residual if residual <= g.delta else None
 
-        return recurrence(g, step, start, *args, early=checked, **kwargs)
+        return recurrence(g, step, start, *args, early=hausdorff_step if g.absorbing else None, **kwargs)
 
-    monkeypatch.setattr(setdyn, "_recurrence", spy)
-    family = vertex_limits(model, builtin(subshift), delta=delta)
-    sweeps = family.iterations - (family.stop == "cycle")  # a recurrence ends its sweep before the residual
-    assert len(steps) == sweeps * len(family.clouds) > 0
-    assert all(one == two for one, two in steps)
-    assert any(0 < two < math.inf for _, two in steps)
+    monkeypatch.setattr(setdyn, "_recurrence", tree_exit)
+    tree = vertex_limits(model, builtin(subshift), delta=delta)
+    assert (shipped.stop, shipped.iterations) == (tree.stop, tree.iterations)
+    assert shipped.residual == tree.residual
+    assert shipped.clouds == tree.clouds
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    n=st.integers(1, 300),
+    span=st.sampled_from([2, 10, 200]),
+    delta=st.sampled_from([1.0, 1 / 3, 0.02, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decomposition_sets_are_the_search_tree_threshold(dim, n, span, delta, seed):
+    # image points anywhere near a node, on grid and half-grid offsets from
+    # one (at the threshold along an axis), against the tree's nearest distances
+    rng = np.random.default_rng(seed)
+    k = PointCloud(rng.integers(-span, span, size=(n, dim)) * delta, delta)
+    kind = rng.integers(0, 3, size=(k.n, 1))
+    offset = np.where(kind == 0, rng.uniform(-2.0, 2.0, (k.n, dim)), rng.integers(-2, 3, (k.n, dim)) / kind.clip(1))
+    images = k.points[rng.integers(0, k.n, k.n)] + offset * delta
+    probe = ModelSpec(name="probe", dim=dim, maps=(lambda pts: images,), scalar_maps=(None,),
+                      lower=(-1.0,) * dim, upper=(1.0,) * dim, seeder=None)
+    (a,) = restricted._decomposition_sets(probe, k, delta)
+    mask = cKDTree(k.points).query(images)[0] <= delta * (1.0 + 1e-9) + 1e-12
+    assert a == PointCloud(k.points[mask], delta)
 
 
 def test_vertex_limits_rejects_a_seed_flagged_absorbing_that_grows():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from choicedyn import models, setdyn
+from choicedyn import models, restricted, setdyn
 from choicedyn.restricted import vertex_limits
 from choicedyn.setdyn import (
     AssumptionViolation,
@@ -118,6 +120,7 @@ def test_hausdorff_basics():
 
 
 def test_hausdorff_of_equal_clouds_builds_no_tree(monkeypatch):
+    # nor does a distance over at most setdyn._PAIRS pairs of points outside the other cloud
     def no_tree(a, b):
         raise AssertionError("built a search tree")
 
@@ -125,8 +128,38 @@ def test_hausdorff_of_equal_clouds_builds_no_tree(monkeypatch):
     cloud = PointCloud(np.array([[0.0, 1.0], [0.5, 0.25]]), 0.25)
     assert hausdorff(cloud, cloud) == 0.0
     assert hausdorff(cloud, PointCloud(cloud.points.copy(), 0.25)) == 0.0
+    assert hausdorff(cloud, PointCloud(cloud.points[:1], 0.25)) == math.hypot(0.5, 0.75)
+    side = math.isqrt(setdyn._PAIRS)  # side * side pairs, at the switch
+    line = PointCloud(np.arange(2.0 * side)[:, None], 0.0)
+    shifted = PointCloud(np.arange(side)[:, None] + 0.5, 0.0)
+    assert directed_distance(shifted, PointCloud(line.points[:side], 0.0)) == 0.5
+    assert directed_distance(line, PointCloud(line.points[side:], 0.0)) == side  # half of line lies in it
     with pytest.raises(AssertionError, match="search tree"):
-        hausdorff(cloud, PointCloud(cloud.points[:1], 0.25))
+        directed_distance(line, shifted)
+
+
+def _grid_cloud(rng, n, dim, delta, span):
+    return PointCloud(rng.integers(-span, span, size=(n, dim)) * delta, delta)
+
+
+def _tree_directed(a, b):
+    return float(np.max(cKDTree(b.points).query(a.points)[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    sizes=st.sampled_from([(1, 1, 3), (30, 40, 3), (40, 30, 50), (1000, 1000, 5000), (1600, 1500, 5000)]),
+    delta=st.sampled_from([1.0, 1 / 3, 0.02, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_directed_distance_is_the_search_tree_max_min(dim, sizes, delta, seed):
+    # random grid clouds on both sides of setdyn._PAIRS: the same floats as the tree's max-min
+    rng = np.random.default_rng(seed)
+    na, nb, span = sizes
+    a, b = _grid_cloud(rng, na, dim, delta, span), _grid_cloud(rng, nb, dim, delta, span)
+    assert directed_distance(a, b) == _tree_directed(a, b)
+    assert hausdorff(a, b) == max(_tree_directed(a, b), _tree_directed(b, a))
 
 
 def test_compute_K_matches_ternary_oracle(cantor, cantor_K):
@@ -208,17 +241,25 @@ def test_every_grid_run_rejects_bad_input_alike(name, delta, seed, message):
         assert str(exc.value) == message, entry
 
 
-def test_a_negative_maxiter_is_a_value_error(cantor):
+def test_a_negative_maxiter_is_a_value_error(cantor, monkeypatch):
     seed = PointCloud(cantor.seeder(0.01), 0.01)
     runs = {
         "compute_K": lambda maxiter: compute_K(cantor, 0.01, maxiter=maxiter),
         "individual_attractor": lambda maxiter: individual_attractor(cantor, UPString("", "01"), 0.01, maxiter=maxiter),
         "vertex_limits": lambda maxiter: vertex_limits(cantor, builtin("golden_mean"), 0.01, maxiter=maxiter),
     }
-    for entry, run in runs.items():
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("built a transition graph")
+
+    with monkeypatch.context() as patch:  # rejected before the grid is built
+        for module in (setdyn, restricted):
+            patch.setattr(module, "_Graph", no_graph)
         for maxiter in (-1, -3):
-            with pytest.raises(ValueError, match=f"maxiter must be non-negative, got {maxiter}"):
-                run(maxiter)
+            for run in runs.values():
+                with pytest.raises(ValueError, match=f"maxiter must be non-negative, got {maxiter}"):
+                    run(maxiter)
+    for entry, run in runs.items():
         out = run(0)  # returns the seed, unconverged
         assert out.stop == "maxiter" and out.iterations == 0, entry
         assert (out.union() if entry == "vertex_limits" else out.cloud) == seed, entry
