@@ -528,6 +528,8 @@ def directed_distance(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> 
         return 0.0
     if b.n == 0:
         raise ValueError("distance to an empty cloud")
+    if a.dim != b.dim:
+        raise ValueError(f"clouds of dimension {a.dim} and {b.dim}")
     if model is not None and model.dsigma_bits:
         return _directed_dsigma(a.points, b.points, model.dsigma_bits)
     rest = a.points[~_rows_isin(a.points, b.points)]

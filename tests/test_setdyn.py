@@ -117,6 +117,8 @@ def test_hausdorff_basics():
     assert directed_distance(one, both) == 0.0
     with pytest.raises(ValueError):
         hausdorff(one, PointCloud(np.empty((0, 1)), 0.0))
+    with pytest.raises(ValueError, match="clouds of dimension 1 and 2"):
+        hausdorff(both, PointCloud(np.array([[0.0, 1.0]]), 0.0))
 
 
 def test_hausdorff_of_equal_clouds_builds_no_tree(monkeypatch):
