@@ -117,60 +117,69 @@ def _rows_isin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.isin(_codes(cols, a), _codes(cols, b))
 
 
+def _compact(keys: np.ndarray) -> np.ndarray:
+    """Integer grid keys as int32 where they fit, in half the memory."""
+    if keys.dtype == np.int64 and len(keys) and -(2**31) <= keys.min() and keys.max() < 2**31:
+        return keys.astype(np.int32)
+    return keys
+
+
 class PointCloud:
     """A finite set of points at resolution delta, in canonical order.
 
     Construction snaps, deduplicates, and sorts; two clouds with the same
     delta compare equal iff they are the same set.  ``delta == 0`` keeps
-    coordinates exact (discrete models).
+    coordinates exact (discrete models).  A cloud holds the grid keys of
+    its points, int32 where they fit, and ``points`` are key * delta.
     """
 
-    __slots__ = ("delta", "points")
+    __slots__ = ("delta", "_rows")
 
     def __init__(self, points, delta: float = 0.0):
         delta = _grid_delta(delta)
-        arr = _unique_rows(_snap(_as_point_array(points), delta))
-        if delta > 0:
-            arr = arr * delta
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "points", arr)
+        object.__setattr__(self, "_rows", _compact(_unique_rows(_snap(_as_point_array(points), delta))))
 
     @classmethod
-    def _canonical(cls, points: np.ndarray, delta: float) -> "PointCloud":
-        """A cloud of rows that are already snapped, distinct and sorted."""
+    def _canonical(cls, keys: np.ndarray, delta: float) -> "PointCloud":
+        """A cloud of grid keys that are already distinct and sorted."""
         cloud = object.__new__(cls)
         object.__setattr__(cloud, "delta", float(delta))
-        object.__setattr__(cloud, "points", points)
+        object.__setattr__(cloud, "_rows", _compact(keys))
         return cloud
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("PointCloud is immutable")
 
     @property
+    def points(self) -> np.ndarray:
+        return self._rows * self.delta if self.delta > 0 else self._rows
+
+    @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self._rows)
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self._rows.shape[1]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointCloud):
             return NotImplemented
         return (
             self.delta == other.delta
-            and self.points.shape == other.points.shape
-            and bool(np.array_equal(self.points, other.points))
+            and self._rows.shape == other._rows.shape
+            and bool(np.array_equal(self._rows, other._rows))
         )
 
     def __repr__(self) -> str:
         return f"PointCloud(n={self.n}, dim={self.dim}, delta={self.delta!r})"
 
     def _keys(self) -> np.ndarray:
-        return _snap(self.points, self.delta)
+        return self._rows
 
     def subset_of(self, other: "PointCloud") -> bool:
         return bool(_rows_isin(self._keys(), other._keys()).all())
@@ -391,7 +400,7 @@ class _Graph:
     def cloud(self, *masks: np.ndarray) -> PointCloud:
         """The cloud of the union of the masks."""
         mask = np.logical_or.reduce([self.fit(m) for m in masks])
-        return PointCloud._canonical(self.points(self.order[mask[self.order]]), self.delta)
+        return PointCloud._canonical(_decode(self.cols, self.code[self.order[mask[self.order]]]), self.delta)
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         """Hausdorff distance of two masks: 0 when equal, inf when just one is empty."""

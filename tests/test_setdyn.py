@@ -140,6 +140,17 @@ def test_hausdorff_of_equal_clouds_builds_no_tree(monkeypatch):
         directed_distance(line, shifted)
 
 
+def test_a_cloud_holds_int32_keys_where_they_fit():
+    # half the memory of its float points; the points are key * delta, as before
+    rows = np.array([[0.25, -0.5], [1.0, 2.0]])
+    cloud = PointCloud(rows[::-1], 0.25)
+    assert cloud._keys().dtype == np.int32 and cloud._keys().tolist() == [[1, -2], [4, 8]]
+    assert cloud.points.dtype == np.float64 and np.array_equal(cloud.points, rows)
+    far = PointCloud(np.array([[2.0**40]]), 0.5)
+    assert far._keys().dtype == np.int64 and far.points.tolist() == [[2.0**40]]
+    assert PointCloud(rows, 0.0)._keys().dtype == np.float64
+
+
 def _grid_cloud(rng, n, dim, delta, span):
     return PointCloud(rng.integers(-span, span, size=(n, dim)) * delta, delta)
 
