@@ -21,25 +21,13 @@ from .setdyn import (
     hutchinson_step,
     individual_attractor,
 )
-from .sofic import SoficPresentation, accepts, builtin, intersect, path_ends, start_vertices
-from .symbolic import (
-    EPSILON,
-    UPString,
-    Word,
-    concat,
-    d_sigma,
-    d_sigma_exponent,
-    enumerate_words,
-    parse_strategy,
-    parse_text,
-    shift,
-)
+from .sofic import SoficPresentation, builtin, start_vertices
+from .symbolic import UPString, Word, d_sigma, d_sigma_exponent, enumerate_words, parse_strategy, shift
 from .restricted import (
     SliceReport,
     VertexFamily,
     enumerate_slices,
     save_slice_report,
-    slice_cloud,
     verify_decomposition,
     vertex_limits,
 )
@@ -50,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionViolation",
     "AttractorReport",
-    "EPSILON",
     "ModelSpec",
     "PointCloud",
     "SliceReport",
@@ -58,11 +45,9 @@ __all__ = [
     "UPString",
     "VertexFamily",
     "Word",
-    "accepts",
     "builtin",
     "chaos_game",
     "compute_K",
-    "concat",
     "d_sigma",
     "d_sigma_exponent",
     "directed_distance",
@@ -71,14 +56,10 @@ __all__ = [
     "hausdorff",
     "hutchinson_step",
     "individual_attractor",
-    "intersect",
     "models",
     "parse_strategy",
-    "parse_text",
-    "path_ends",
     "save_slice_report",
     "shift",
-    "slice_cloud",
     "start_vertices",
     "verify_decomposition",
     "vertex_limits",

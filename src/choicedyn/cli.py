@@ -243,7 +243,7 @@ def cmd_slices(args) -> int:
         f"decomposition residuals: union {residuals['union']:.3e}, mapped {residuals['mapped']:.3e}"
         f" ({'ok' if ok else 'FAILED'})"
     )
-    if not family.all_converged:
+    if not family.converged:
         print("vertex family did NOT converge", file=sys.stderr)
         return EXIT_NOCONV
     return EXIT_OK

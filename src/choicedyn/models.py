@@ -60,10 +60,6 @@ class MalariaParams:
                 f"dt={self.dt} violates the step bound {float(step_bound(self.a, self.b, self.r, self.m))}"
             )
 
-    @property
-    def r0(self) -> float:
-        return (self.a * self.b) / (self.r * self.m)
-
 
 PSET0 = MalariaParams(a=4, b=6, r=1, m=2)
 PSET1 = MalariaParams(a=2, b=10, r=3, m=2)
@@ -241,17 +237,6 @@ def cantor_digits(x: float, depth: int) -> tuple:
 # truncated shift states (the Gestalt system)
 
 
-@dataclass(frozen=True)
-class GestaltConfig:
-    """Truncation depth for the shift-state system; maps read 3 letters."""
-
-    depth: int = 12
-
-    def __post_init__(self):
-        if self.depth < 6:
-            raise ValueError("depth must be at least 6")
-
-
 def word_to_code(letters, depth: int) -> int:
     letters = tuple(int(v) for v in letters)
     if len(letters) != depth or any(v not in (0, 1) for v in letters):
@@ -266,14 +251,16 @@ def code_to_word(code: int, depth: int) -> Word:
     return Word(tuple((int(code) >> (depth - 1 - i)) & 1 for i in range(depth)))
 
 
-def gestalt_model(cfg: GestaltConfig = GestaltConfig()) -> ModelSpec:
-    """Binary length-L states; S_j prepends letter v(3-j-1) and truncates.
+def gestalt_model(depth: int = 12) -> ModelSpec:
+    """Binary length-L states, L = depth >= 6; S_j prepends letter v(3-j-1) and truncates.
 
     States are integer-coded with the first letter as the most significant
     bit, so both maps are exact integer operations; dynamics agrees with the
     untruncated shift-state system on prefixes of length L-1.
     """
-    L = cfg.depth
+    if depth < 6:
+        raise ValueError("depth must be at least 6")
+    L = depth
 
     def prepend(pts, look_bit):
         codes = np.rint(pts[:, 0]).astype(np.int64)
@@ -430,7 +417,7 @@ _BUILDERS = {
     "malaria0": (("dt", "pset0"), lambda p: submodel(malaria_model(_malaria_pset(p, "pset0")), 0)),
     "cantor": ((), lambda p: cantor_model()),
     "line": (("radius",), lambda p: line_counterexample(radius=p.get("radius", LINE_RADIUS))),
-    "gestalt": (("depth",), lambda p: gestalt_model(GestaltConfig(depth=p.get("depth", 12)))),
+    "gestalt": (("depth",), lambda p: gestalt_model(**p)),
     "three_point": ((), lambda p: three_point_model()),
 }
 MODEL_NAMES = tuple(_BUILDERS)

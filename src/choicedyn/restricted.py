@@ -45,6 +45,7 @@ class VertexFamily:
 
     @property
     def all_converged(self) -> bool:
+        """The same as ``converged``, kept only because perfbench/checks.py reads it."""
         return self.converged
 
     def union(self) -> PointCloud:
@@ -114,19 +115,6 @@ def _removed_distance(g: _Graph, old: np.ndarray, new: np.ndarray) -> float:
     return float(nearest.max(initial=0.0))
 
 
-def slice_cloud(
-    model: ModelSpec,
-    pres: SoficPresentation,
-    family: VertexFamily,
-    u: UPString,
-) -> PointCloud:
-    """The slice of strategy u: union of family clouds over start_vertices."""
-    starts = start_vertices(pres, u)
-    if not starts:
-        raise ValueError(f"strategy {u} is not in the subshift")
-    return PointCloud.union([family.clouds[v] for v in sorted(starts)])
-
-
 @dataclass(frozen=True, eq=False)
 class SliceReport:
     """Distinct slices, strategy classification, and the K_Lambda decomposition;
@@ -147,7 +135,7 @@ def _within_delta(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
     differences in coordinate order, as a search tree does.
     """
     delta = cloud.delta
-    own, keys = _snap(points, delta), cloud._keys()
+    own, keys = _snap(points, delta), cloud._rows
     found = np.zeros(len(points), bool)
     for offset in itertools.product((-1, 0, 1), repeat=cloud.dim):
         node = own + np.array(offset)

@@ -19,8 +19,8 @@ shift, the one vertex with a loop for each map, so both run one sweep.
 
 from __future__ import annotations
 
-import hashlib
 import math
+from _blake2 import blake2b  # hashlib.blake2b itself, without loading OpenSSL's _hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +119,16 @@ def _rows_isin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _compact(keys: np.ndarray) -> np.ndarray:
     """Integer grid keys as int32 where they fit, in half the memory."""
-    if keys.dtype == np.int64 and len(keys) and -(2**31) <= keys.min() and keys.max() < 2**31:
+    if keys.dtype == np.int64 and -(2**31) <= keys.min(initial=0) and keys.max(initial=0) < 2**31:
         return keys.astype(np.int32)
     return keys
+
+
+def _check_grid(clouds) -> None:
+    """Raise ValueError unless the clouds share one delta and dimension, the
+    one grid on which equal keys are equal points."""
+    if any(c.delta != clouds[0].delta or c.dim != clouds[0].dim for c in clouds):
+        raise ValueError("clouds disagree on delta or dimension")
 
 
 class PointCloud:
@@ -178,32 +185,31 @@ class PointCloud:
     def __repr__(self) -> str:
         return f"PointCloud(n={self.n}, dim={self.dim}, delta={self.delta!r})"
 
-    def _keys(self) -> np.ndarray:
-        return self._rows
+    def _keys_in(self, other: "PointCloud") -> np.ndarray:
+        """Which of this cloud's keys are keys of other, a cloud on the same grid."""
+        _check_grid([self, other])
+        return _rows_isin(self._rows, other._rows)
 
     def subset_of(self, other: "PointCloud") -> bool:
-        return bool(_rows_isin(self._keys(), other._keys()).all())
+        return bool(self._keys_in(other).all())
 
     def difference(self, other: "PointCloud") -> "PointCloud":
-        return PointCloud(self.points[~_rows_isin(self._keys(), other._keys())], self.delta)
+        return PointCloud._canonical(self._rows[~self._keys_in(other)], self.delta)
 
     def intersection(self, other: "PointCloud") -> "PointCloud":
-        return PointCloud(self.points[_rows_isin(self._keys(), other._keys())], self.delta)
+        return PointCloud._canonical(self._rows[self._keys_in(other)], self.delta)
 
     def contains_points(self, pts) -> np.ndarray:
         """Per-row membership of the snapped probe points in this cloud."""
-        return _rows_isin(_snap(_as_point_array(pts, self.dim), self.delta), self._keys())
+        return _rows_isin(_snap(_as_point_array(pts, self.dim), self.delta), self._rows)
 
     @staticmethod
     def union(clouds) -> "PointCloud":
         clouds = list(clouds)
         if not clouds:
             raise ValueError("union of no clouds")
-        delta = clouds[0].delta
-        dim = clouds[0].dim
-        if any(c.delta != delta or c.dim != dim for c in clouds):
-            raise ValueError("clouds disagree on delta or dimension")
-        out = PointCloud(np.concatenate([c.points for c in clouds]), delta)
+        _check_grid(clouds)
+        out = PointCloud._canonical(_unique_rows(np.concatenate([c._rows for c in clouds])), clouds[0].delta)
         # every input is a subset of the union, so an input of its size is the union
         return next((c for c in clouds if c.n == out.n), out)
 
@@ -426,7 +432,7 @@ def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter
     for k in range(maxiter + 1):
         if k:
             tail = tail[-p:] + [step(k, tail[-1])]
-        key = ((k - pre) % p, *(hashlib.blake2b(np.packbits(m).tobytes().rstrip(b"\0")).digest() for m in tail[-1]))
+        key = ((k - pre) % p, *(blake2b(np.packbits(m).tobytes().rstrip(b"\0")).digest() for m in tail[-1]))
         if k >= pre and (i := seen.setdefault(key, k)) < k:
             for j in range(k + 1, 2 * k - i):
                 tail.append(step(j, tail[-1]))

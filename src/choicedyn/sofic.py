@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .symbolic import UPString, Word
+from .symbolic import UPString
 
 Edge = tuple  # (src: str, symbol: int, dst: str)
 
@@ -65,9 +65,6 @@ class SoficPresentation:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def out_degree(self, v) -> int:
-        return sum(1 for e in self.edges if e[0] == v)
-
     def to_text(self) -> str:
         """One edge per line: ``FROM SYMBOL TO``."""
         lines = [f"{src} {sym} {dst}" for src, sym, dst in sorted(self.edges)]
@@ -106,19 +103,6 @@ def _walk(table: dict, frontier: frozenset, symbols) -> frozenset:
     return frontier
 
 
-def accepts(pres: SoficPresentation, word: Word) -> bool:
-    """True iff some infinite path in the pruned graph starts with labels ``word``."""
-    return bool(_walk(pres._step, frozenset(pres.vertices), word))
-
-
-def path_ends(pres: SoficPresentation, word: Word) -> frozenset:
-    """Terminal vertices of accepting paths labeled ``word``; raises if rejected."""
-    ends = _walk(pres._step, frozenset(pres.vertices), word)
-    if not ends:
-        raise ValueError(f"word {word} is not accepted by the presentation")
-    return ends
-
-
 def start_vertices(pres: SoficPresentation, u: UPString) -> frozenset:
     """Vertices from which the infinite string ``u`` is readable.
 
@@ -132,18 +116,6 @@ def start_vertices(pres: SoficPresentation, u: UPString) -> frozenset:
             break
         targets = shrunk
     return _walk(pres._back, targets, reversed(u.preperiod))
-
-
-def intersect(p1: SoficPresentation, p2: SoficPresentation) -> SoficPresentation:
-    """Synchronized product presentation; may present the empty subshift."""
-    if p1.n_symbols != p2.n_symbols:
-        raise ValueError("presentations use different alphabets")
-    edges = []
-    for a_src, sym, a_dst in p1.edges:
-        for b_src, sym2, b_dst in p2.edges:
-            if sym == sym2:
-                edges.append((f"{a_src}|{b_src}", sym, f"{a_dst}|{b_dst}"))
-    return SoficPresentation.make(p1.n_symbols, edges)
 
 
 def builtin(name: str, n_symbols: int = 2) -> SoficPresentation:

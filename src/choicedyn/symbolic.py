@@ -63,9 +63,6 @@ class Word:
         return Word(self.letters[:n])
 
 
-EPSILON = Word()
-
-
 @dataclass(frozen=True)
 class UPString:
     """An ultimately periodic one-sided infinite string, in normal form.
@@ -131,14 +128,6 @@ def shift(s: UPString, n: int = 1) -> UPString:
     return UPString((), s.period[r:] + s.period[:r])
 
 
-def concat(w: Word, u: String) -> String:
-    """Concatenation w.u; (w.u)(|w| + k) = u(k)."""
-    w = w if isinstance(w, Word) else Word(w)
-    if isinstance(u, Word):
-        return Word(w.letters + u.letters)
-    return UPString(w.letters + u.preperiod, u.period)
-
-
 def _letter(x: String, k: int):
     if isinstance(x, Word):
         return x.letters[k] if k < len(x.letters) else None
@@ -191,20 +180,12 @@ _TEXT_RE = re.compile(r"^(\d*)(?:\((\d+)\))?$")
 STRATEGY_GRAMMAR = 'strategy text is "PRE(PER)" with digit words, e.g. "000(100)"; a plain digit string is a finite word'
 
 
-def parse_text(text: str) -> String:
-    """Parse ``"PRE(PER)"`` as a UPString and a plain digit string as a Word."""
+def parse_strategy(text: str) -> UPString:
+    """Parse a strategy string, requiring the infinite "PRE(PER)" form."""
     m = _TEXT_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse {text!r}: {STRATEGY_GRAMMAR}")
     pre, per = m.group(1), m.group(2)
     if per is None:
-        return Word(pre)
-    return UPString(pre, per)
-
-
-def parse_strategy(text: str) -> UPString:
-    """Parse a strategy string, requiring the infinite "PRE(PER)" form."""
-    s = parse_text(text)
-    if isinstance(s, Word):
         raise ValueError(f"{text!r} is a finite word, not a strategy: {STRATEGY_GRAMMAR}")
-    return s
+    return UPString(pre, per)

@@ -199,7 +199,7 @@ def c05_two_slices_exact(ctx: Context) -> tuple:
     elapsed = time.perf_counter() - t0
     classes = sorted({"".join(sorted(models.label_cloud(c))) for c in family.clouds.values()})
     labels = sorted("".join(sorted(models.label_cloud(c))) for c in report.slices)
-    classes_ok = family.all_converged and classes == ["AB", "BC"]
+    classes_ok = family.converged and classes == ["AB", "BC"]
     slices_ok = len(report.slices) == 2 and not mismatched
     passed = classes_ok and slices_ok and elapsed < 1.0
     agree = len(report.representatives) - len(mismatched)
@@ -249,7 +249,7 @@ def c06_malaria_restricted(ctx: Context) -> tuple:
 def c07_gestalt(ctx: Context) -> tuple:
     """Depth-12 prefix of 000(100)* is in K but in no A_w with |period| <= 4, < 30 s."""
     t0 = time.perf_counter()
-    model = models.gestalt_model(models.GestaltConfig(depth=12))
+    model = models.gestalt_model(12)
     L = model.dsigma_bits
     target = models.word_to_code(models.GESTALT_OUTSIDER.prefix(L), L)
     K = compute_K(model, delta=0.0)

@@ -311,25 +311,31 @@ def test_slices_tol_below_delta_exits_2(tmp_path, capsys, tol):
 
 def test_runs_that_take_no_distance_never_load_scipy(tmp_path):
     # scipy is imported on first use by the search-tree distances only, which
-    # slices never needs: the README's slices line and the benchmark's largest family
+    # slices never needs: the README's slices line and the benchmark's largest
+    # family; nor does a run load OpenSSL's _hashlib, which `import hashlib`
+    # does, except chaos, whose default_rng loads it through secrets (numpy
+    # 1.x already does so on import, so only modules numpy left out count)
     script = """
 import json, sys
+import numpy
+preloaded = set(sys.modules)
 import choicedyn, choicedyn.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-loaded = {"import": scipy_modules()}
+def unwanted_modules():
+    new = set(sys.modules) - preloaded
+    return sorted(m for m in new if m in ("scipy", "_hashlib") or m.startswith("scipy."))
+loaded = {"import": unwanted_modules()}
 for name, argv in json.loads(sys.argv[1]).items():
     assert choicedyn.cli.main(argv) == 0, name
-    loaded[name] = scipy_modules()
+    loaded[name] = unwanted_modules()
 print(json.dumps(loaded))
 """
     runs = {
         "attractor": ["attractor", "--model", "malaria", "--delta", "0.02"],
         "individual": ["individual", "--model", "gestalt", "--strategy", "(011)"],
-        "chaos": ["chaos", "--model", "malaria", "--delta", "0.02"],
         "slices": ["slices", "--model", "malaria", "--subshift", "golden_mean", "--delta", "0.01"],
         "slices dt 0.005": ["slices", "--model", "malaria", "--subshift", "golden_even", "--delta", "0.01",
                             "--config", str(tmp_path / "slow.json")],
+        "chaos": ["chaos", "--model", "malaria", "--delta", "0.02"],
     }
     (tmp_path / "slow.json").write_text(json.dumps({"params": {"dt": 0.005}}))
     runs = {name: argv + ["--out", str(tmp_path / name)] for name, argv in runs.items()}
@@ -337,6 +343,7 @@ print(json.dumps(loaded))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                           capture_output=True, text=True, env=env, check=True)
     loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded["chaos"] = [m for m in loaded["chaos"] if m != "_hashlib"]
     assert loaded == {name: [] for name in ["import", *runs]}
 
 

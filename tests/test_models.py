@@ -36,11 +36,6 @@ def test_step_bound_gate():
         models.MalariaParams(a=4, b=6, r=1, m=2, dt=0.2)
 
 
-def test_r0():
-    assert models.PSET1.r0 == pytest.approx(20 / 6)
-    assert models.PSET0.r0 == 12.0
-
-
 def test_malaria_square_invariant_on_grid():
     grid = np.stack(
         np.meshgrid(np.linspace(0, 1, 100), np.linspace(0, 1, 100), indexing="ij"), axis=-1
@@ -81,6 +76,14 @@ def test_gestalt_codes_round_trip():
     w = Word("000100100100")
     code = models.word_to_code(w, L)
     assert models.code_to_word(code, L) == w
+
+
+def test_gestalt_depth_is_at_least_six():
+    assert models.gestalt_model(6).dsigma_bits == 6
+    assert models.build_model("gestalt", {"depth": 8}).upper == (255.0,)
+    for build in (lambda: models.gestalt_model(5), lambda: models.build_model("gestalt", {"depth": 5})):
+        with pytest.raises(ValueError, match="depth must be at least 6"):
+            build()
 
 
 def test_gestalt_maps_read_three_letters():

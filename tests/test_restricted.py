@@ -11,7 +11,6 @@ from choicedyn import models, restricted, setdyn
 from choicedyn.restricted import (
     enumerate_slices,
     save_slice_report,
-    slice_cloud,
     verify_decomposition,
     vertex_limits,
 )
@@ -37,9 +36,20 @@ def golden_even_family(three_point):
     return pres, vertex_limits(three_point, pres, delta=0.0)
 
 
+@pytest.fixture(scope="module")
+def golden_even_report(three_point, golden_even_family):
+    pres, family = golden_even_family
+    return enumerate_slices(three_point, pres, family, period_bound=6)
+
+
+def _slice(report, u):
+    """The slice of strategy u, as its report lists it."""
+    return report.slices[report.representatives[str(u)]]
+
+
 def test_vertex_limits_three_point(three_point, golden_even_family):
     pres, family = golden_even_family
-    assert family.all_converged
+    assert family.converged
     assert models.label_cloud(family.clouds["A"]) == frozenset("AB")
     assert models.label_cloud(family.clouds["B"]) == frozenset("BC")
     assert models.label_cloud(family.clouds["C"]) == frozenset("BC")
@@ -78,35 +88,29 @@ def test_vertex_limits_stable_under_extra_sweep(three_point, golden_even_family)
         assert again == family.clouds[v]
 
 
-def test_slice_values_verified_by_complete_orbits(three_point, golden_even_family):
+def test_slice_values_verified_by_complete_orbits(golden_even_report):
     # (001)* carries the complete periodic orbit A -> B -> C -> A, so its
     # slice is all three points; odd-zero-run and 1-led strategies miss A.
-    pres, family = golden_even_family
-    s = slice_cloud(three_point, pres, family, UPString("", "001"))
-    assert models.label_cloud(s) == frozenset("ABC")
-    assert models.label_cloud(slice_cloud(three_point, pres, family, UPString("", "010"))) == frozenset("BC")
-    assert models.label_cloud(slice_cloud(three_point, pres, family, UPString("", "100"))) == frozenset("BC")
-    assert models.label_cloud(slice_cloud(three_point, pres, family, UPString("", "0"))) == frozenset("ABC")
-    with pytest.raises(ValueError):
-        slice_cloud(three_point, pres, family, UPString("", "1"))
+    report = golden_even_report
+    for per, labels in (("001", "ABC"), ("010", "BC"), ("100", "BC"), ("0", "ABC")):
+        assert models.label_cloud(_slice(report, UPString("", per))) == frozenset(labels), per
+    assert str(UPString("", "1")) not in report.representatives  # (1) is outside the subshift
 
 
 def test_slice_full_shift_is_K(three_point):
     pres = builtin("full_shift", 2)
     family = vertex_limits(three_point, pres, delta=0.0)
     K = compute_K(three_point, delta=0.0)
-    s = slice_cloud(three_point, pres, family, UPString("", "01"))
-    assert s == K.cloud
+    report = enumerate_slices(three_point, pres, family, period_bound=2)
+    assert _slice(report, UPString("", "01")) == K.cloud
 
 
-def test_slice_monotone_in_start_vertices(three_point, golden_even_family):
-    pres, family = golden_even_family
+def test_slice_monotone_in_start_vertices(golden_even_family, golden_even_report):
+    pres, _ = golden_even_family
     pairs = [(UPString("", "100"), UPString("", "001")), (UPString("", "010"), UPString("", "010"))]
     for u, v in pairs:
         if start_vertices(pres, u) <= start_vertices(pres, v):
-            su = slice_cloud(three_point, pres, family, u)
-            sv = slice_cloud(three_point, pres, family, v)
-            assert su.subset_of(sv)
+            assert _slice(golden_even_report, u).subset_of(_slice(golden_even_report, v))
 
 
 def test_enumerate_slices_three_point(three_point, golden_even_family):
@@ -166,14 +170,14 @@ def test_three_cycle_orbit_slices_can_coincide():
     "text,expected",
     [("(001)", "ABC"), ("(100)", "BC"), ("(010)", "BC"), ("(0)", "ABC"), ("00(100)", "ABC")],
 )
-def test_slices_match_product_graph_oracle(three_point, golden_even_family, text, expected):
-    pres, family = golden_even_family
+def test_slices_match_product_graph_oracle(golden_even_family, golden_even_report, text, expected):
+    pres, _ = golden_even_family
     u = UPString(*_split(text))
     tables = (models._S0_TABLE, models._S1_TABLE)
     oracle = product_graph_slice_oracle(pres, tables, [u])[str(u)]
     assert oracle == frozenset(expected)
     assert product_graph_slice_oracle(pres, tables, u) == oracle
-    assert models.label_cloud(slice_cloud(three_point, pres, family, u)) == oracle
+    assert models.label_cloud(_slice(golden_even_report, u)) == oracle
 
 
 def _split(text):
@@ -206,14 +210,15 @@ def test_slices_match_oracle_on_random_presentations(three_point):
     checked = 0
     for pres in _random_presentations(rng):
         family = vertex_limits(three_point, pres, delta=0.0)
-        assert family.all_converged
+        assert family.converged
+        report = enumerate_slices(three_point, pres, family, period_bound=5)
         for _ in range(5):
             pre = tuple(int(v) for v in rng.integers(0, 2, size=rng.integers(0, 3)))
             per = tuple(int(v) for v in rng.integers(0, 2, size=rng.integers(1, 4)))
             u = UPString(pre, per)
             if not start_vertices(pres, u):
                 continue
-            got = models.label_cloud(slice_cloud(three_point, pres, family, u))
+            got = models.label_cloud(_slice(report, u))
             assert got == product_graph_slice_oracle(pres, tables, [u])[str(u)]
             checked += 1
     assert checked >= 30
@@ -270,7 +275,7 @@ def test_enumerate_slices_builds_one_union_per_start_vertex_set_on_random_presen
 @pytest.mark.parametrize("subshift", ["golden_mean", "even_shift", "golden_even"])
 @pytest.mark.parametrize("depth", [6, 8])
 def test_gestalt_slices_match_product_graph_oracle(depth, subshift):
-    model = models.gestalt_model(models.GestaltConfig(depth))
+    model = models.gestalt_model(depth)
     states = np.arange(2**depth)
     tables = [dict(zip(states.tolist(), fn(states[:, None] + 0.0)[:, 0].astype(int).tolist())) for fn in model.maps]
     pres = builtin(subshift)
@@ -280,7 +285,7 @@ def test_gestalt_slices_match_product_graph_oracle(depth, subshift):
     oracle = product_graph_slice_oracle(pres, tables, strategies)
     assert family.stop == "cycle" and len(report.slices) >= 2
     for u in strategies:
-        assert set(slice_cloud(model, pres, family, u).points[:, 0].astype(int).tolist()) == oracle[str(u)], str(u)
+        assert set(_slice(report, u).points[:, 0].astype(int).tolist()) == oracle[str(u)], str(u)
 
 
 def test_decomposition_three_point(three_point, golden_even_family):
@@ -318,7 +323,7 @@ def test_golden_mean_union_smaller_than_K_either_time_step():
         K = compute_K(mal, delta=delta, maxiter=3000)
         family = vertex_limits(mal, pres, delta=delta, maxiter=3000)
         union = family.union()
-        assert K.converged and family.all_converged
+        assert K.converged and family.converged
         assert directed_distance(union, K.cloud) <= 2 * delta
         assert directed_distance(K.cloud, union) > floor
 
@@ -341,7 +346,7 @@ def test_vertex_limits_reports_its_tol_exit():
     # dt = 0.005 moves the clouds by less than delta = 0.02 long before the limit
     slow = models.build_model("malaria", {"dt": 0.005})
     family = vertex_limits(slow, builtin("golden_mean"), delta=0.02)
-    assert family.stop == "tol" and family.iterations == 2 and family.all_converged
+    assert family.stop == "tol" and family.iterations == 2 and family.converged
     assert {v: c.n for v, c in family.clouds.items()} == {"g0": 2459, "g1": 2385}
 
 

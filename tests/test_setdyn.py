@@ -93,6 +93,30 @@ def test_cloud_set_semantics():
     assert a.intersection(c) == c
 
 
+def test_set_algebra_needs_one_grid():
+    # 0.5 at delta 0.5 and 0.25 at delta 0.25 are both key 1: comparing keys
+    # across grids would call them one point
+    half, quarter, plane = PointCloud([[0.5]], 0.5), PointCloud([[0.25]], 0.25), PointCloud([[0.5, 0.5]], 0.5)
+    for other in (quarter, plane):
+        for op in (half.intersection, half.difference, half.subset_of, lambda c: PointCloud.union([half, c])):
+            with pytest.raises(ValueError, match="disagree on delta or dimension"):
+                op(other)
+
+
+def _same_cloud(got, want):
+    return got == want and got._rows.dtype == want._rows.dtype
+
+
+@given(a=point_lists, b=point_lists, delta=st.sampled_from([0.0, 0.25]))
+def test_set_algebra_from_keys_is_the_snapped_construction(a, b, delta):
+    ca, cb = PointCloud(np.array(a), delta), PointCloud(np.array(b), delta)
+    in_b = np.array([any((p == q).all() for q in cb.points) for p in ca.points])
+    assert _same_cloud(PointCloud.union([ca, cb]), PointCloud(np.concatenate([ca.points, cb.points]), delta))
+    assert _same_cloud(ca.difference(cb), PointCloud(ca.points[~in_b], delta))
+    assert _same_cloud(ca.intersection(cb), PointCloud(ca.points[in_b], delta))
+    assert ca.subset_of(cb) == in_b.all()
+
+
 def test_hutchinson_cantor_corners(cantor):
     out = hutchinson_step(cantor, PointCloud(np.array([[0.0], [1.0]]), 1e-4))
     assert np.allclose(out.points.ravel(), [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-4)
@@ -144,11 +168,11 @@ def test_a_cloud_holds_int32_keys_where_they_fit():
     # half the memory of its float points; the points are key * delta, as before
     rows = np.array([[0.25, -0.5], [1.0, 2.0]])
     cloud = PointCloud(rows[::-1], 0.25)
-    assert cloud._keys().dtype == np.int32 and cloud._keys().tolist() == [[1, -2], [4, 8]]
+    assert cloud._rows.dtype == np.int32 and cloud._rows.tolist() == [[1, -2], [4, 8]]
     assert cloud.points.dtype == np.float64 and np.array_equal(cloud.points, rows)
     far = PointCloud(np.array([[2.0**40]]), 0.5)
-    assert far._keys().dtype == np.int64 and far.points.tolist() == [[2.0**40]]
-    assert PointCloud(rows, 0.0)._keys().dtype == np.float64
+    assert far._rows.dtype == np.int64 and far.points.tolist() == [[2.0**40]]
+    assert PointCloud(rows, 0.0)._rows.dtype == np.float64
 
 
 def _grid_cloud(rng, n, dim, delta, span):

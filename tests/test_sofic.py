@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from choicedyn.sofic import (
-    SoficPresentation,
-    accepts,
-    builtin,
-    intersect,
-    language,
-    path_ends,
-    start_vertices,
-)
-from choicedyn.symbolic import UPString, Word
+from choicedyn.sofic import SoficPresentation, builtin, language, start_vertices
+from choicedyn.symbolic import UPString
 
 
 def brute_golden_even(letters) -> bool:
@@ -69,47 +61,14 @@ def test_languages_against_brute_force(name, oracle):
 
 
 def test_acceptance_examples():
-    ge = builtin("golden_even")
-    assert accepts(ge, Word("0010000100"))
-    assert not accepts(ge, Word("11"))
-    assert accepts(ge, Word("100"))
+    ge = language(builtin("golden_even"), 10)
+    assert (0, 0, 1, 0, 0, 0, 0, 1, 0, 0) in ge
+    assert (1, 1) not in ge
+    assert (1, 0, 0) in ge
     # factor of (100)^inf: the gap of exactly two 0s is allowed
-    assert accepts(ge, Word("1001"))
-    assert accepts(ge, Word(""))
-    empty = SoficPresentation.make(2, [])
-    assert not accepts(empty, Word(""))
-
-
-def test_intersection_matches_builtin():
-    prod = intersect(builtin("golden_mean"), builtin("even_shift"))
-    assert language(prod, 10) == language(builtin("golden_even"), 10)
-
-
-def test_intersection_identity_and_idempotence():
-    gm = builtin("golden_mean")
-    assert language(intersect(gm, builtin("full_shift", 2)), 10) == language(gm, 10)
-    assert language(intersect(gm, gm), 10) == language(gm, 10)
-
-
-def test_path_ends():
-    ge = builtin("golden_even")
-    assert path_ends(ge, Word("1")) == frozenset({"A"})
-    assert path_ends(ge, Word("0")) == frozenset({"B", "C"})
-    assert path_ends(builtin("full_shift", 2), Word("0101")) == frozenset({"q"})
-    with pytest.raises(ValueError):
-        path_ends(ge, Word("11"))
-
-
-def test_accepts_iff_path_ends_nonempty():
-    for name in ("golden_mean", "even_shift", "golden_even"):
-        pres = builtin(name)
-        lang = language(pres, 10)
-        for n in range(11):
-            for w in itertools.product((0, 1), repeat=n):
-                if w in lang:
-                    assert path_ends(pres, Word(w))
-                else:
-                    assert not accepts(pres, Word(w))
+    assert (1, 0, 0, 1) in ge
+    assert () in ge
+    assert language(SoficPresentation.make(2, []), 10) == set()
 
 
 def test_start_vertices_examples():
@@ -154,7 +113,7 @@ def test_pruning_drops_dead_branches():
     )
     # "dead" has no outgoing edge, then "b" loses its only edge; "x" survives
     assert set(pres.vertices) == {"a", "x"}
-    assert all(pres.out_degree(v) >= 1 for v in pres.vertices)
+    assert {src for src, _, _ in pres.edges} == set(pres.vertices)
 
 
 def test_text_round_trip():
@@ -164,16 +123,6 @@ def test_text_round_trip():
         assert again == pres
     with pytest.raises(ValueError):
         SoficPresentation.from_text("a 0\n")
-
-
-def test_empty_intersection_allowed():
-    only0 = SoficPresentation.make(2, [("p", 0, "p")])
-    only1 = SoficPresentation.make(2, [("q", 1, "q")])
-    prod = intersect(only0, only1)
-    assert prod.is_empty
-    assert language(prod, 4) == set()
-    with pytest.raises(ValueError):
-        intersect(only0, builtin("full_shift", 3))
 
 
 edge_lines = st.tuples(

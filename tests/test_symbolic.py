@@ -4,18 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choicedyn.symbolic import (
-    EPSILON,
-    UPString,
-    Word,
-    concat,
-    d_sigma,
-    d_sigma_exponent,
-    enumerate_words,
-    parse_strategy,
-    parse_text,
-    shift,
-)
+from choicedyn.symbolic import UPString, Word, d_sigma, d_sigma_exponent, enumerate_words, parse_strategy, shift
 
 words = st.lists(st.integers(0, 2), max_size=8).map(lambda l: Word(tuple(l)))
 upstrings = st.tuples(
@@ -23,19 +12,6 @@ upstrings = st.tuples(
     st.lists(st.integers(0, 2), min_size=1, max_size=4),
 ).map(lambda t: UPString(tuple(t[0]), tuple(t[1])))
 strings = st.one_of(words, upstrings)
-
-
-def test_concat_examples():
-    assert concat(Word("01"), UPString("", "1")) == UPString("01", "1")
-    assert concat(EPSILON, UPString("0", "10")) == UPString("0", "10")
-    assert concat(Word("10"), Word("0110")) == Word("100110")
-
-
-def test_concat_offset_letters():
-    w, u = Word("01"), UPString("10", "011")
-    s = concat(w, u)
-    for k in range(20):
-        assert s.letter_at(len(w) + k) == u.letter_at(k)
 
 
 def test_d_sigma_examples():
@@ -57,23 +33,22 @@ def test_shift_examples():
 
 def test_enumerate_words():
     assert [str(w) for w in enumerate_words(2, 2)] == ["00", "01", "10", "11"]
-    assert enumerate_words(2, 0) == [EPSILON]
+    assert enumerate_words(2, 0) == [Word()]
     assert len(enumerate_words(3, 2)) == 9
     with pytest.raises(ValueError):
         enumerate_words(2, 40)
 
 
 def test_parse_and_format():
-    s = parse_text("000(100)")
+    s = parse_strategy("000(100)")
     assert isinstance(s, UPString)
     assert str(s) == "0(001)"  # normal form of the same string
     assert [s.letter_at(k) for k in range(7)] == [0, 0, 0, 1, 0, 0, 1]
-    assert parse_text("0110") == Word("0110")
     assert parse_strategy("(10)") == UPString("", "10")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'0110' is a finite word, not a strategy"):
         parse_strategy("0110")
-    with pytest.raises(ValueError):
-        parse_text("01a")
+    with pytest.raises(ValueError, match="cannot parse '01a'"):
+        parse_strategy("01a")
 
 
 def test_normal_form_examples():
@@ -111,7 +86,8 @@ def test_normalization_idempotent_and_letter_preserving(pre, per):
 
 @given(s=upstrings, n=st.integers(0, 8))
 def test_prefix_shift_reconstruction(s, n):
-    rebuilt = concat(s.prefix(n), shift(s, n))
+    tail = shift(s, n)
+    rebuilt = UPString(s.prefix(n).letters + tail.preperiod, tail.period)
     assert [rebuilt.letter_at(k) for k in range(4 * n + 4)] == [
         s.letter_at(k) for k in range(4 * n + 4)
     ]
@@ -135,15 +111,6 @@ strategy_texts = st.one_of(
         digit_texts, st.sampled_from([")", "", ")x", ")\n"]),
     ).map("".join),
 )
-
-
-@given(text=strategy_texts)
-def test_parse_text_fuzz_round_trip(text):
-    try:
-        parsed = parse_text(text)
-    except ValueError:
-        return
-    assert parse_text(str(parsed)) == parsed
 
 
 @given(text=strategy_texts)
