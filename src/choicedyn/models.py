@@ -252,14 +252,15 @@ def code_to_word(code: int, depth: int) -> Word:
 
 
 def gestalt_model(depth: int = 12) -> ModelSpec:
-    """Binary length-L states, L = depth >= 6; S_j prepends letter v(3-j-1) and truncates.
+    """Binary length-L states, L = depth an int from 6 to 20 (2**L seed states, up to
+    the 10**6-node grid of malaria at delta = 1e-3); S_j prepends letter v(3-j-1) and truncates.
 
     States are integer-coded with the first letter as the most significant
     bit, so both maps are exact integer operations; dynamics agrees with the
     untruncated shift-state system on prefixes of length L-1.
     """
-    if depth < 6:
-        raise ValueError("depth must be at least 6")
+    if not isinstance(depth, (int, np.integer)) or not 6 <= depth <= 20:  # a bool is below 6
+        raise ValueError(f"depth must be at least 6 and at most 20, an int; got {depth!r}")
     L = depth
 
     def prepend(pts, look_bit):

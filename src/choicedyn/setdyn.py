@@ -488,35 +488,41 @@ def _check_symbols(model: ModelSpec, symbols) -> None:
             raise ValueError(f"symbol {sym} outside the model's {model.n_maps} maps")
 
 
-_PAIRS = 1 << 20  # a directed distance over more point pairs than this queries a search tree
+def _nearest(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
+    """Euclidean distance from each row of points to its nearest point of a
+    1-D or 2-D cloud (1-D input is padded with a zero column), at any delta.
 
-
-def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each row of a to its nearest row of b.
-
-    scipy is imported here, on first use, because loading it costs more
-    memory and start-up time than most runs spend: only residuals over
-    more than ``_PAIRS`` point pairs load it.
+    The cloud's rows, in lexicographic order, form columns sorted by the
+    second coordinate.  Each point walks the columns outward from its own
+    first coordinate, on both sides, bisecting each column for its two
+    nearest rows by a packed (column, rank of y) code, until the squared
+    column gap is no smaller than the best squared distance found.  The
+    squares are summed in coordinate order and the root is taken last, as a
+    search tree does, so the result is the same float.
     """
-    from scipy.spatial import cKDTree
-
-    return cKDTree(b).query(a, k=1, workers=-1)[0]
-
-
-def _directed_pairs(a: np.ndarray, b: np.ndarray) -> float:
-    """max over rows of a of the Euclidean distance to the nearest row of b,
-    from every pair, in chunks of about ``_CHUNK`` pairs.  The squared
-    coordinate differences are summed in coordinate order and the root is
-    taken last, as the search tree does, so the result is the same float."""
-    worst = 0.0
-    rows = max(1, _CHUNK // len(b))
-    for lo in range(0, len(a), rows):
-        part = a[lo : lo + rows]
-        sq = np.zeros((len(part), len(b)))
-        for c in range(a.shape[1]):
-            sq += np.subtract.outer(part[:, c], b[:, c]) ** 2
-        worst = max(worst, float(sq.min(axis=1).max()))
-    return math.sqrt(worst)
+    b = cloud.points
+    if cloud.dim == 1:
+        b, points = (np.column_stack((p[:, 0], np.zeros(len(p)))) for p in (b, points))
+    cx, col = np.unique(b[:, 0], return_inverse=True)
+    cy = np.unique(b[:, 1])
+    code = col * len(cy) + np.searchsorted(cy, b[:, 1])
+    start = np.searchsorted(code, np.arange(len(cx) + 1) * len(cy))  # column c is rows start[c]:start[c + 1]
+    home, ry = np.searchsorted(cx, points[:, 0]), np.searchsorted(cy, points[:, 1])
+    # a column at +inf, which c = -1 reads too, ends every walk; by gets a spare row for i = len(b)
+    cx, by = np.append(cx, np.inf), np.append(b[:, 1], 0.0)
+    best = np.full(len(points), np.inf)
+    for side in (1, -1):
+        idx, c = np.arange(len(points)), home if side > 0 else home - 1
+        while len(idx):
+            gap = (points[idx, 0] - cx[c]) ** 2
+            go = gap < best[idx]
+            idx, c, gap, y = idx[go], c[go], gap[go], points[idx[go], 1]
+            i = np.searchsorted(code, c * len(cy) + ry[idx])  # the first row of column c at or above y
+            dy2 = np.minimum(np.where(i < start[c + 1], (y - by[i]) ** 2, np.inf),
+                             np.where(i > start[c], (y - by[i - 1]) ** 2, np.inf))
+            best[idx] = np.minimum(best[idx], gap + dy2)
+            c = c + side
+    return np.sqrt(best)
 
 
 def _directed_dsigma(a: np.ndarray, b: np.ndarray, bits: int) -> float:
@@ -533,31 +539,23 @@ def _directed_dsigma(a: np.ndarray, b: np.ndarray, bits: int) -> float:
 
 
 def directed_distance(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> float:
-    """One-sided distance sup_{x in a} dist(x, b).
-
-    The points of a that lie in b are at distance 0; the rest are compared
-    with every point of b up to ``_PAIRS`` pairs, through a search tree
-    above that.
-    """
+    """One-sided distance sup_{x in a} dist(x, b) of 1-D or 2-D clouds: 0 for
+    the points of a that lie in b, ``_nearest`` for the rest."""
     if a.n == 0:
         return 0.0
     if b.n == 0:
         raise ValueError("distance to an empty cloud")
-    if a.dim != b.dim:
-        raise ValueError(f"clouds of dimension {a.dim} and {b.dim}")
+    if a.dim != b.dim or a.dim > 2:
+        raise ValueError(f"clouds of dimension {a.dim} and {b.dim}: distances need one dimension, 1 or 2")
     if model is not None and model.dsigma_bits:
         return _directed_dsigma(a.points, b.points, model.dsigma_bits)
     rest = a.points[~_rows_isin(a.points, b.points)]
-    if len(rest) == 0:
-        return 0.0
-    if len(rest) * b.n > _PAIRS:
-        return float(np.max(_nearest_distances(rest, b.points)))
-    return _directed_pairs(rest, b.points)
+    return float(np.max(_nearest(rest, b))) if len(rest) else 0.0
 
 
 def hausdorff(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> float:
     """Hausdorff distance: the max of the two one-sided sup-inf distances
-    (0 for equal clouds, without building a search tree)."""
+    (0 for equal clouds)."""
     if a.n == 0 or b.n == 0:
         raise ValueError("hausdorff distance needs nonempty clouds")
     if a == b:

@@ -309,10 +309,10 @@ def test_slices_tol_below_delta_exits_2(tmp_path, capsys, tol):
     assert not (tmp_path / "out").exists()
 
 
-def test_runs_that_take_no_distance_never_load_scipy(tmp_path):
-    # scipy is imported on first use by the search-tree distances only, which
-    # slices never needs: the README's slices line and the benchmark's largest
-    # family; nor does a run load OpenSSL's _hashlib, which `import hashlib`
+def test_no_run_loads_scipy(tmp_path):
+    # scipy is a test dependency only, so no run loads it, not even one that
+    # takes a distance (verify's C6, the residual of a run that ends at
+    # maxiter); nor does a run load OpenSSL's _hashlib, which `import hashlib`
     # does, except chaos, whose default_rng loads it through secrets (numpy
     # 1.x already does so on import, so only modules numpy left out count)
     script = """
@@ -324,8 +324,8 @@ def unwanted_modules():
     new = set(sys.modules) - preloaded
     return sorted(m for m in new if m in ("scipy", "_hashlib") or m.startswith("scipy."))
 loaded = {"import": unwanted_modules()}
-for name, argv in json.loads(sys.argv[1]).items():
-    assert choicedyn.cli.main(argv) == 0, name
+for name, (argv, code) in json.loads(sys.argv[1]).items():
+    assert choicedyn.cli.main(argv) == code, name
     loaded[name] = unwanted_modules()
 print(json.dumps(loaded))
 """
@@ -335,10 +335,14 @@ print(json.dumps(loaded))
         "slices": ["slices", "--model", "malaria", "--subshift", "golden_mean", "--delta", "0.01"],
         "slices dt 0.005": ["slices", "--model", "malaria", "--subshift", "golden_even", "--delta", "0.01",
                             "--config", str(tmp_path / "slow.json")],
-        "chaos": ["chaos", "--model", "malaria", "--delta", "0.02"],
+        "verify C6": ["verify", "--only", "C6"],
+        "attractor maxiter": ["attractor", "--model", "malaria", "--delta", "0.02", "--maxiter", "2"],
+        "chaos": ["chaos", "--model", "malaria", "--delta", "0.02"],  # last: it loads _hashlib
     }
     (tmp_path / "slow.json").write_text(json.dumps({"params": {"dt": 0.005}}))
-    runs = {name: argv + ["--out", str(tmp_path / name)] for name, argv in runs.items()}
+    # a run that ends at maxiter exits 3
+    runs = {name: (argv + ["--out", str(tmp_path / name)], 3 if "maxiter" in name else 0)
+            for name, argv in runs.items()}
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(choicedyn.__file__)))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                           capture_output=True, text=True, env=env, check=True)
@@ -508,6 +512,16 @@ def test_params_a_model_does_not_read_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"model": "malaria", "params": {"depth": 3}, "delta": 0.1}))
     assert run_cli("attractor", "--config", str(cfg), "--out", str(tmp_path)) == 2
     assert "depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [8.5, 8.0, True, 40])
+def test_gestalt_depth_not_an_int_or_too_large_exits_2(tmp_path, capsys, depth):
+    # the seed holds 2**depth states, so depth 40 would ask for 8 TiB
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "gestalt", "params": {"depth": depth}}))
+    assert run_cli("attractor", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

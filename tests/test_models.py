@@ -81,9 +81,12 @@ def test_gestalt_codes_round_trip():
 def test_gestalt_depth_is_at_least_six():
     assert models.gestalt_model(6).dsigma_bits == 6
     assert models.build_model("gestalt", {"depth": 8}).upper == (255.0,)
-    for build in (lambda: models.gestalt_model(5), lambda: models.build_model("gestalt", {"depth": 5})):
-        with pytest.raises(ValueError, match="depth must be at least 6"):
-            build()
+    assert models.gestalt_model(np.int64(20)).upper == (2.0**20 - 1,)
+    for depth in (5, 21, 40, 8.0, 8.5, True, "8", None):
+        with pytest.raises(ValueError, match="depth must be at least 6 and at most 20, an int"):
+            models.build_model("gestalt", {"depth": depth})
+    with pytest.raises(ValueError, match="depth must be at least 6"):
+        models.gestalt_model(5)
 
 
 def test_gestalt_maps_read_three_letters():

@@ -358,7 +358,7 @@ def _tree_hausdorff(g, old, new):
     if not b.any():
         return math.inf
     pa, pb = g.cloud(a).points, g.cloud(b).points
-    return float(max(setdyn._nearest_distances(pa, pb).max(), setdyn._nearest_distances(pb, pa).max()))
+    return float(max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max()))
 
 
 @pytest.mark.parametrize(

@@ -143,25 +143,22 @@ def test_hausdorff_basics():
         hausdorff(one, PointCloud(np.empty((0, 1)), 0.0))
     with pytest.raises(ValueError, match="clouds of dimension 1 and 2"):
         hausdorff(both, PointCloud(np.array([[0.0, 1.0]]), 0.0))
+    cube = PointCloud(np.eye(3), 0.0)
+    with pytest.raises(ValueError, match="clouds of dimension 3 and 3"):
+        directed_distance(cube, PointCloud(np.zeros((1, 3)), 0.0))
 
 
-def test_hausdorff_of_equal_clouds_builds_no_tree(monkeypatch):
-    # nor does a distance over at most setdyn._PAIRS pairs of points outside the other cloud
-    def no_tree(a, b):
-        raise AssertionError("built a search tree")
-
-    monkeypatch.setattr(setdyn, "_nearest_distances", no_tree)
+def test_distances_of_equal_shifted_and_nested_clouds():
     cloud = PointCloud(np.array([[0.0, 1.0], [0.5, 0.25]]), 0.25)
     assert hausdorff(cloud, cloud) == 0.0
     assert hausdorff(cloud, PointCloud(cloud.points.copy(), 0.25)) == 0.0
     assert hausdorff(cloud, PointCloud(cloud.points[:1], 0.25)) == math.hypot(0.5, 0.75)
-    side = math.isqrt(setdyn._PAIRS)  # side * side pairs, at the switch
+    side = 1024  # side * side = 2**20 point pairs
     line = PointCloud(np.arange(2.0 * side)[:, None], 0.0)
     shifted = PointCloud(np.arange(side)[:, None] + 0.5, 0.0)
     assert directed_distance(shifted, PointCloud(line.points[:side], 0.0)) == 0.5
     assert directed_distance(line, PointCloud(line.points[side:], 0.0)) == side  # half of line lies in it
-    with pytest.raises(AssertionError, match="search tree"):
-        directed_distance(line, shifted)
+    assert directed_distance(line, shifted) == side - 0.5  # from 2 * side - 1 to side - 0.5
 
 
 def test_a_cloud_holds_int32_keys_where_they_fit():
@@ -175,28 +172,37 @@ def test_a_cloud_holds_int32_keys_where_they_fit():
     assert PointCloud(rows, 0.0)._rows.dtype == np.float64
 
 
-def _grid_cloud(rng, n, dim, delta, span):
-    return PointCloud(rng.integers(-span, span, size=(n, dim)) * delta, delta)
+def _random_cloud(rng, n, dim, delta, span, apart=0.0):
+    """n random points snapped at delta: grid nodes within span nodes of 0,
+    or floats of magnitude about span for delta = 0; shifted by apart spans."""
+    if delta == 0:
+        return PointCloud(rng.normal(scale=span, size=(n, dim)) + apart * span, 0.0)
+    return PointCloud((rng.integers(-span, span, size=(n, dim)) + apart * span) * delta, delta)
 
 
-def _tree_directed(a, b):
-    return float(np.max(cKDTree(b.points).query(a.points)[0]))
+def _tree_nearest(points, b):
+    return cKDTree(b.points).query(points)[0]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     dim=st.sampled_from([1, 2]),
     sizes=st.sampled_from([(1, 1, 3), (30, 40, 3), (40, 30, 50), (1000, 1000, 5000), (1600, 1500, 5000)]),
-    delta=st.sampled_from([1.0, 1 / 3, 0.02, 1e-3]),
+    delta=st.sampled_from([0.0, 1.0, 1 / 3, 0.02, 1e-3]),
+    apart=st.sampled_from([0.0, 100.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_directed_distance_is_the_search_tree_max_min(dim, sizes, delta, seed):
-    # random grid clouds on both sides of setdyn._PAIRS: the same floats as the tree's max-min
+def test_directed_distance_is_the_search_tree_max_min(dim, sizes, delta, apart, seed):
+    # random clouds, dense or sparse, overlapping or far apart, on the grid or
+    # at delta = 0: the same floats as the tree's max-min, and off-grid query
+    # points get the tree's nearest distances
     rng = np.random.default_rng(seed)
     na, nb, span = sizes
-    a, b = _grid_cloud(rng, na, dim, delta, span), _grid_cloud(rng, nb, dim, delta, span)
-    assert directed_distance(a, b) == _tree_directed(a, b)
-    assert hausdorff(a, b) == max(_tree_directed(a, b), _tree_directed(b, a))
+    a, b = _random_cloud(rng, na, dim, delta, span), _random_cloud(rng, nb, dim, delta, span, apart)
+    assert directed_distance(a, b) == np.max(_tree_nearest(a.points, b))
+    assert hausdorff(a, b) == max(np.max(_tree_nearest(a.points, b)), np.max(_tree_nearest(b.points, a)))
+    off = a.points + rng.uniform(-1.0, 1.0, a.points.shape)
+    assert np.array_equal(setdyn._nearest(off, b), _tree_nearest(off, b))
 
 
 def test_compute_K_matches_ternary_oracle(cantor, cantor_K):
