@@ -155,12 +155,14 @@ def _decomposition_sets(model: ModelSpec, k_lambda: PointCloud, delta: float):
     return tuple(sets)
 
 
+_WORD_CAP = 200_000  # words of one length at most; a period_bound that needs more is a ValueError
+
+
 def enumerate_slices(
     model: ModelSpec,
     pres: SoficPresentation,
     family: VertexFamily,
     period_bound: int,
-    word_cap: int = 200_000,
 ) -> SliceReport:
     """Slices of every UPString with |preperiod| + |period| <= period_bound.
 
@@ -182,8 +184,8 @@ def enumerate_slices(
     slice_of = {}  # start-vertex set -> index of its slice
     for pre_len in range(0, period_bound):
         for per_len in range(1, period_bound - pre_len + 1):
-            for pre in enumerate_words(n, pre_len, cap=word_cap):
-                for per in enumerate_words(n, per_len, cap=word_cap):
+            for pre in enumerate_words(n, pre_len, cap=_WORD_CAP):
+                for per in enumerate_words(n, per_len, cap=_WORD_CAP):
                     u = UPString(pre.letters, per.letters)
                     key = str(u)
                     if key in seen:
@@ -234,20 +236,12 @@ def verify_decomposition(report: SliceReport, model: ModelSpec):
 def save_slice_report(report: SliceReport, out_dir: str) -> dict:
     """Write slice_k.csv, k_lambda.csv, a_j.csv, and a JSON manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    slice_files = []
-    for i, cloud in enumerate(report.slices):
-        name = f"slice_{i}.csv"
+    slice_files = [f"slice_{i}.csv" for i in range(len(report.slices))]
+    a_files = [f"a_{j}.csv" for j in range(len(report.a_sets))]
+    clouds = (*report.slices, report.k_lambda, *report.a_sets)
+    for name, cloud in zip((*slice_files, "k_lambda.csv", *a_files), clouds):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(cloud.to_csv())
-        slice_files.append(name)
-    with open(os.path.join(out_dir, "k_lambda.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report.k_lambda.to_csv())
-    a_files = []
-    for j, cloud in enumerate(report.a_sets):
-        name = f"a_{j}.csv"
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(cloud.to_csv())
-        a_files.append(name)
     manifest = {
         "delta": report.delta,
         "distinct_slices": len(report.slices),

@@ -526,16 +526,17 @@ def _nearest(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
 
 
 def _directed_dsigma(a: np.ndarray, b: np.ndarray, bits: int) -> float:
-    ca = a[:, 0].astype(np.int64)
-    cb = b[:, 0].astype(np.int64)
-    worst = 0.0
-    for lo in range(0, len(ca), 1024):
-        chunk = ca[lo : lo + 1024]
-        x = np.bitwise_xor(chunk[:, None], cb[None, :])
-        _, exp = np.frexp(x.astype(float))
-        dist = np.where(x == 0, 0.0, np.ldexp(1.0, exp - 1 - bits))
-        worst = max(worst, float(dist.min(axis=1).max()))
-    return worst
+    """Code-space distance: the max over codes x of a of the min over codes y
+    of b of 2**(bit length of x ^ y - 1 - bits), 0 where x = y.  b's codes
+    must be sorted, as a cloud's rows are.
+
+    The codes of b that share a prefix with x form a run of sorted b around
+    x's place, so the nearest code is one of x's two sorted neighbours.
+    """
+    ca, cb = a[:, 0].astype(np.int64), b[:, 0].astype(np.int64)
+    i = np.searchsorted(cb, ca)
+    worst = int(np.max(np.minimum(ca ^ cb[np.minimum(i, len(cb) - 1)], ca ^ cb[np.maximum(i - 1, 0)])))
+    return math.ldexp(1.0, worst.bit_length() - 1 - bits) if worst else 0.0
 
 
 def directed_distance(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> float:

@@ -16,8 +16,10 @@ slices; compared with the slices they would fail on a correct program.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from choicedyn import models, verify
 
@@ -71,13 +73,49 @@ def test_c10_chaos_game(ctx):
 
 
 def test_criterion_ids_unique_and_complete():
-    ids = [cid for cid, _, _ in verify.CRITERIA]
+    ids = [cid for cid, _, _, _ in verify.CRITERIA]
     assert ids == [f"C{i}" for i in range(1, 11)]
     assert len(set(ids)) == len(ids)
     # each id and each full name selects its own criterion alone
-    for cid, name, _ in verify.CRITERIA:
+    for cid, name, _, _ in verify.CRITERIA:
         for only in (cid, name):
-            assert [c for c, n, _ in verify.CRITERIA if verify._matches(only, c, n)] == [cid]
+            assert [c for c, n, _, _ in verify.CRITERIA if verify._matches(only, c, n)] == [cid]
+
+
+def test_time_bounds_are_the_stated_gates():
+    # the gates of ROADMAP aim 1: C1 < 1 ms, C3 < 10 s, C5 < 1 s, C6 < 60 s, C7 < 30 s, C10 < 5 s
+    bounds = {cid: bound for cid, _, _, bound in verify.CRITERIA if bound is not None}
+    assert bounds == {"C1": 1e-3, "C3": 10.0, "C5": 1.0, "C6": 60.0, "C7": 30.0, "C10": 5.0}
+
+
+def _clocked(monkeypatch, cid, problems, seconds):
+    """Run criterion cid with its check replaced and a clock that reads 0, then seconds."""
+    table = tuple(
+        (c, name, (lambda ctx: (list(problems), "all fine")) if c == cid else check, bound)
+        for c, name, check, bound in verify.CRITERIA
+    )
+    monkeypatch.setattr(verify, "CRITERIA", table)
+    ticks = iter((0.0, seconds))
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    [result] = verify.run(only=cid)
+    return result
+
+
+@pytest.mark.parametrize(
+    "cid, problems, seconds, passed, detail",
+    [
+        ("C1", [], 1e-3, False, "runtime 0.001s >= 0.001s"),
+        ("C3", [], 10.0, False, "runtime 10s >= 10s"),
+        ("C3", [], 9.99, True, "all fine"),
+        ("C10", [], 12.5, False, "runtime 12.5s >= 5s"),
+        ("C4", [], 1e6, True, "all fine"),  # C4 has no bound
+        ("C4", ["first"], 0.5, False, "first"),
+        ("C6", ["first", "second"], 75.0, False, "first; second; runtime 75s >= 60s"),
+    ],
+)
+def test_run_enforces_the_time_bound_of_the_table(monkeypatch, cid, problems, seconds, passed, detail):
+    result = _clocked(monkeypatch, cid, problems, seconds)
+    assert (result.passed, result.seconds, result.detail) == (passed, seconds, detail)
 
 
 def test_context_malaria_uses_its_parameter_sets():

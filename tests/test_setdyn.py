@@ -548,6 +548,31 @@ def test_dsigma_distances_match_the_symbolic_metric(data):
     assert hausdorff(ca, cb, model) == max(directed(a, b), directed(b, a))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dsigma_distances_equal_the_every_pair_reference(data):
+    # the sorted-neighbour lookup against the max-min over every pair of codes
+    L = data.draw(st.integers(6, 12))
+    model = models.gestalt_model(L)
+    sets = st.lists(st.integers(0, 2**L - 1), min_size=1, max_size=80)
+    a, b = data.draw(sets), data.draw(sets)
+
+    def directed(x, y):
+        xor = np.array(x, dtype=np.int64)[:, None] ^ np.array(y, dtype=np.int64)[None, :]
+        _, exp = np.frexp(xor.astype(float))
+        return float(np.where(xor == 0, 0.0, np.ldexp(1.0, exp - 1 - L)).min(axis=1).max())
+
+    ca, cb = (PointCloud(np.array(c, dtype=float)[:, None], 0.0) for c in (a, b))
+    assert directed_distance(ca, cb, model) == directed(a, b)
+    assert hausdorff(ca, cb, model) == max(directed(a, b), directed(b, a))
+
+
+def test_dsigma_residual_of_a_deep_gestalt_K():
+    # 2**16 codes: an every-pair residual would compare 2**32 pairs
+    rep = compute_K(models.gestalt_model(16), 0.0, maxiter=2)
+    assert (rep.stop, rep.residual) == ("maxiter", 0.03125)
+
+
 def test_compute_K_is_deterministic():
     mal = models.malaria_model()
     first = compute_K(mal, delta=0.02)
