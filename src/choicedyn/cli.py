@@ -3,7 +3,8 @@
 Commands: attractor | individual | slices | chaos | verify | render, each
 reading only the settings listed in ``_COMMANDS``.  Configuration comes from
 an optional JSON file plus flag overrides (flags win).  Exit codes: 0
-success, 2 configuration error, 3 non-convergence, 4 assumption violation.
+success, 2 configuration error (any ``ValueError`` raised for bad input, by
+the CLI or by the library), 3 non-convergence, 4 assumption violation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import os
 import sys
 import typing
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import models, verify
@@ -34,19 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 EXIT_ASSUMPTION = 4
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@contextmanager
-def _config_errors():
-    """Report a ValueError raised on bad input as a configuration error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc))
 
 
 # flags by the setting they set; a command has --config, --out and the flags of what it reads
@@ -103,18 +90,21 @@ class RunConfig:
         data = {}
         if args.config:
             try:
-                data = models.load_config(args.config)
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+                if not isinstance(data, dict):
+                    raise ValueError("config file must hold a JSON object")
             except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot load config {args.config!r}: {exc}")
+                raise ValueError(f"cannot load config {args.config!r}: {exc}")
         reads = {"out", *_COMMANDS[args.command][2]}
         unknown = set(data) - reads
         if unknown:
-            raise ConfigError(f"unknown config entries for {args.command}: {sorted(unknown)}")
+            raise ValueError(f"unknown config entries for {args.command}: {sorted(unknown)}")
         types = typing.get_type_hints(cls)  # the field annotations are the table of entry types
         for key, val in data.items():
             want = types[key]
             if isinstance(val, bool) or not isinstance(val, (int, float) if want is float else want):
-                raise ConfigError(f"config entry {key!r} must be a JSON {want.__name__}, got {val!r}")
+                raise ValueError(f"config entry {key!r} must be a JSON {want.__name__}, got {val!r}")
         for key in reads:
             val = getattr(args, key, None)
             if val is not None:
@@ -124,29 +114,26 @@ class RunConfig:
 
 def _model_from(cfg: RunConfig):
     if not cfg.model:
-        raise ConfigError("no model selected; pass --model or a config file")
+        raise ValueError("no model selected; pass --model or a config file")
     try:
         model = models.build_model(cfg.model, cfg.params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
-    delta = cfg.delta
-    if delta is None:
-        delta = 0.0 if model.discrete else 0.01
+    except TypeError as exc:
+        raise ValueError(str(exc))
+    delta = cfg.delta if cfg.delta is not None else (0.0 if model.discrete else 0.01)
     return model, float(delta)
 
 
 def _subshift_from(cfg: RunConfig, n_symbols: int) -> SoficPresentation:
     name = cfg.subshift
     if not name:
-        raise ConfigError("no subshift selected; pass --subshift NAME|PATH")
-    with _config_errors():
-        if os.path.exists(name):
-            with open(name, "r", encoding="utf-8") as fh:
-                pres = SoficPresentation.from_text(fh.read(), n_symbols=n_symbols)
-        else:
-            pres = builtin(name, n_symbols=n_symbols)
+        raise ValueError("no subshift selected; pass --subshift NAME|PATH")
+    if os.path.exists(name):
+        with open(name, "r", encoding="utf-8") as fh:
+            pres = SoficPresentation.from_text(fh.read(), n_symbols=n_symbols)
+    else:
+        pres = builtin(name, n_symbols=n_symbols)
     if pres.is_empty:
-        raise ConfigError(f"subshift {name!r} is empty")
+        raise ValueError(f"subshift {name!r} is empty")
     return pres
 
 
@@ -169,11 +156,9 @@ def _k_record(cfg: RunConfig, delta: float) -> dict:
     return {"delta": delta, "model": cfg.model.strip().lower(), "params": cfg.params}
 
 
-def cmd_attractor(args) -> int:
-    cfg = RunConfig.load(args)
+def cmd_attractor(cfg: RunConfig, args) -> int:
     model, delta = _model_from(cfg)
-    with _config_errors():
-        report = compute_K(model, delta, maxiter=cfg.maxiter)
+    report = compute_K(model, delta, maxiter=cfg.maxiter)
     _write_cloud(cfg.out, "k", report.cloud, model)
     with open(os.path.join(cfg.out, "k.json"), "w", encoding="utf-8") as fh:
         json.dump(_k_record(cfg, delta), fh)  # read back by individual
@@ -187,35 +172,33 @@ def cmd_attractor(args) -> int:
     return EXIT_OK
 
 
-def cmd_individual(args) -> int:
-    cfg = RunConfig.load(args)
+def cmd_individual(cfg: RunConfig, args) -> int:
     model, delta = _model_from(cfg)
     if not cfg.strategy:
-        raise ConfigError("individual needs --strategy")
+        raise ValueError("individual needs --strategy")
     k_path = os.path.join(cfg.out, "k.csv")  # a K left in --out by an earlier attractor run
     K = None
-    with _config_errors():
-        w = parse_strategy(str(cfg.strategy))
-        if os.path.exists(k_path):
-            with open(k_path, "r", encoding="utf-8") as fh:
-                K = PointCloud.from_csv(fh.read(), delta)
-            if K.n == 0 or K.dim != model.dim:
-                held = f"{K.dim}-D points" if K.n else "no points"
-                raise ValueError(f"{k_path!r} holds {held}; model {model.name!r} is {model.dim}-D")
-            record = os.path.join(cfg.out, "k.json")  # what attractor wrote k.csv for
-            written = {}
-            if os.path.exists(record):
-                with open(record, "r", encoding="utf-8") as fh:
-                    written = json.load(fh)
-            written = written if isinstance(written, dict) else {}
-            for key, ours in _k_record(cfg, delta).items():
-                if key not in written or written[key] != ours:
-                    at = f"at {key} {written[key]!r}" if key in written else f"without a {key} in {record!r}"
-                    raise ValueError(
-                        f"{k_path!r} was written {at}, not at {key} {ours!r}; "
-                        "run attractor with this run's settings or use another --out"
-                    )
-        report = individual_attractor(model, w, delta)
+    w = parse_strategy(cfg.strategy)
+    if os.path.exists(k_path):
+        with open(k_path, "r", encoding="utf-8") as fh:
+            K = PointCloud.from_csv(fh.read(), delta)
+        if K.n == 0 or K.dim != model.dim:
+            held = f"{K.dim}-D points" if K.n else "no points"
+            raise ValueError(f"{k_path!r} holds {held}; model {model.name!r} is {model.dim}-D")
+        record = os.path.join(cfg.out, "k.json")  # what attractor wrote k.csv for
+        written = {}
+        if os.path.exists(record):
+            with open(record, "r", encoding="utf-8") as fh:
+                written = json.load(fh)
+        written = written if isinstance(written, dict) else {}
+        for key, ours in _k_record(cfg, delta).items():
+            if key not in written or written[key] != ours:
+                at = f"at {key} {written[key]!r}" if key in written else f"without a {key} in {record!r}"
+                raise ValueError(
+                    f"{k_path!r} was written {at}, not at {key} {ours!r}; "
+                    "run attractor with this run's settings or use another --out"
+                )
+    report = individual_attractor(model, w, delta)
     _write_cloud(cfg.out, "a_w", report.cloud, model)
     print(
         f"A_{w}: {report.cloud.n} points, {report.iterations} steps, residual {report.residual:.3e}, "
@@ -229,13 +212,11 @@ def cmd_individual(args) -> int:
     return EXIT_OK
 
 
-def cmd_slices(args) -> int:
-    cfg = RunConfig.load(args)
+def cmd_slices(cfg: RunConfig, args) -> int:
     model, delta = _model_from(cfg)
     pres = _subshift_from(cfg, model.n_maps)
-    with _config_errors():
-        family = vertex_limits(model, pres, delta, maxiter=cfg.maxiter)
-        report = enumerate_slices(model, pres, family, period_bound=cfg.period_bound)
+    family = vertex_limits(model, pres, delta, maxiter=cfg.maxiter)
+    report = enumerate_slices(model, pres, family, period_bound=cfg.period_bound)
     save_slice_report(report, cfg.out)
     ok, residuals = verify_decomposition(report, model)
     print(f"distinct slices: {len(report.slices)}, vertex family {family.iterations} sweeps, stop {family.stop}")
@@ -249,35 +230,21 @@ def cmd_slices(args) -> int:
     return EXIT_OK
 
 
-def cmd_chaos(args) -> int:
-    cfg = RunConfig.load(args)
+def cmd_chaos(cfg: RunConfig, args) -> int:
     model, delta = _model_from(cfg)
     probs = cfg.probs if cfg.probs is not None else [1.0 / model.n_maps] * model.n_maps
-    steps = int(cfg.steps)
-    burnin = int(cfg.burnin) if cfg.burnin is not None else min(1000, steps // 10)
-    x0 = cfg.x0
-    if x0 is None:
-        x0 = [(lo + hi) / 2.0 for lo, hi in zip(model.lower, model.upper)]
-    with _config_errors():
-        cloud, mean = chaos_game(
-            model,
-            probs=probs,
-            x0=x0,
-            steps=steps,
-            burnin=burnin,
-            rng_seed=int(cfg.seed),
-            delta=delta,
-        )
+    burnin = cfg.burnin if cfg.burnin is not None else min(1000, cfg.steps // 10)
+    x0 = cfg.x0 if cfg.x0 is not None else [(lo + hi) / 2.0 for lo, hi in zip(model.lower, model.upper)]
+    cloud, mean = chaos_game(model, probs=probs, x0=x0, steps=cfg.steps, burnin=burnin,
+                             rng_seed=cfg.seed, delta=delta)
     _write_cloud(cfg.out, "chaos", cloud, model)
     print(f"chaos game: {cloud.n} distinct points, observable mean {mean!r}")
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = RunConfig.load(args)
-    with _config_errors():
-        ctx = verify.Context(*models.malaria_psets(cfg.params))
-        results = verify.run(only=cfg.only, ctx=ctx, echo=print)
+def cmd_verify(cfg: RunConfig, args) -> int:
+    ctx = verify.Context(*models.malaria_psets(cfg.params))
+    results = verify.run(only=cfg.only, ctx=ctx, echo=print)
     os.makedirs(cfg.out, exist_ok=True)
     with open(os.path.join(cfg.out, "verify.json"), "w", encoding="utf-8") as fh:
         json.dump(verify.to_json(results), fh, indent=2, sort_keys=True)
@@ -285,15 +252,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else 1
 
 
-def cmd_render(args) -> int:
-    cfg = RunConfig.load(args)
+def cmd_render(cfg: RunConfig, args) -> int:
     try:
         with open(args.csv, "r", encoding="utf-8") as fh:
             cloud = PointCloud.from_csv(fh.read(), cfg.delta if cfg.delta is not None else 0.0)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {args.csv!r}: {exc}")
+        raise ValueError(f"cannot read {args.csv!r}: {exc}")
     if cloud.n == 0:
-        raise ConfigError(f"{args.csv!r} holds no points")
+        raise ValueError(f"{args.csv!r} holds no points")
     os.makedirs(cfg.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.csv))[0]
     out_path = os.path.join(cfg.out, f"{stem}.svg")
@@ -322,8 +288,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
-        return handler(args)
-    except ConfigError as exc:
+        return handler(RunConfig.load(args), args)
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssumptionViolation as exc:

@@ -16,7 +16,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -433,11 +432,3 @@ def build_model(name: str, params: dict = None) -> ModelSpec:
     if set(params) - set(reads):
         raise ValueError(f"model {key!r} reads only params {list(reads)}, got {sorted(params)}")
     return build(params)
-
-
-def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    return cfg

@@ -177,6 +177,8 @@ def enumerate_slices(
     if period_bound < 1:
         raise ValueError("period_bound must be at least 1")
     n = pres.n_symbols
+    if n ** period_bound > _WORD_CAP:  # the longest words the loop enumerates
+        raise ValueError(f"{n}**{period_bound} words exceeds cap {_WORD_CAP}")
     k_lambda = family.union()
     slices = []
     reps = {}
@@ -184,8 +186,8 @@ def enumerate_slices(
     slice_of = {}  # start-vertex set -> index of its slice
     for pre_len in range(0, period_bound):
         for per_len in range(1, period_bound - pre_len + 1):
-            for pre in enumerate_words(n, pre_len, cap=_WORD_CAP):
-                for per in enumerate_words(n, per_len, cap=_WORD_CAP):
+            for pre in enumerate_words(n, pre_len):
+                for per in enumerate_words(n, per_len):
                     u = UPString(pre.letters, per.letters)
                     key = str(u)
                     if key in seen:

@@ -644,6 +644,8 @@ def chaos_game(
         raise ValueError("probabilities must be non-negative and not all zero")
     if abs(float(probs.sum()) - 1.0) > 1e-12:
         raise ValueError("probabilities must sum to 1 within 1e-12")
+    if burnin < 0:
+        raise ValueError("burnin must be non-negative")
     if steps <= burnin:
         raise ValueError("steps must exceed burnin")
     rng = np.random.default_rng(rng_seed)

@@ -164,14 +164,17 @@ def d_sigma(u: String, v: String) -> float:
     return 0.0 if m is None else math.ldexp(1.0, -m)
 
 
-def enumerate_words(n_symbols: int, length: int, cap: int = 1_000_000) -> list:
+_WORD_CAP = 1_000_000  # words of one length at most
+
+
+def enumerate_words(n_symbols: int, length: int) -> list:
     """All words of a given length in lexicographic order (N**length of them)."""
     if n_symbols < 1:
         raise ValueError("alphabet needs at least one symbol")
     if length < 0:
         raise ValueError("length must be non-negative")
-    if n_symbols ** length > cap:
-        raise ValueError(f"{n_symbols}**{length} words exceeds cap {cap}")
+    if n_symbols ** length > _WORD_CAP:
+        raise ValueError(f"{n_symbols}**{length} words exceeds cap {_WORD_CAP}")
     return [Word(t) for t in itertools.product(range(n_symbols), repeat=length)]
 
 

@@ -364,6 +364,16 @@ def test_slices_subshift_from_file(tmp_path):
     assert manifest["distinct_slices"] == 1
 
 
+def test_slices_subshift_file_that_prunes_to_nothing_exits_2(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("a 0 b\n")  # b has no out-edge, so a has none left either
+    out = tmp_path / "out"
+    argv = ("slices", "--model", "three_point", "--delta", "0", "--subshift", str(graph), "--out", str(out))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"config error: subshift {str(graph)!r} is empty\n"
+    assert not out.exists()
+
+
 def test_slices_requires_subshift(tmp_path):
     assert run_cli("slices", "--model", "three_point", "--out", str(tmp_path)) == 2
 
@@ -384,6 +394,15 @@ def test_chaos_bad_probs_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "cantor", "delta": 0.001, "probs": [0.7, 0.7]}))
     assert run_cli("chaos", "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+
+def test_chaos_negative_burnin_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "cantor", "steps": 1000, "burnin": -3}))
+    out = tmp_path / "out"
+    assert run_cli("chaos", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "config error: burnin must be non-negative\n"
+    assert not out.exists()
 
 
 def test_chaos_deterministic_bytes(tmp_path):

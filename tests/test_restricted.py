@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -126,6 +127,14 @@ def test_enumerate_slices_three_point(three_point, golden_even_family):
     # representative strings classify by slice
     assert report.representatives["(001)"] != report.representatives["(100)"]
     assert report.representatives["(100)"] == report.representatives["(010)"]
+
+
+def test_enumerate_slices_checks_its_word_cap_before_enumerating(three_point, golden_even_family):
+    pres, family = golden_even_family
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^2\*\*18 words exceeds cap 200000$"):
+        enumerate_slices(three_point, pres, family, period_bound=18)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_enumerate_slices_full_shift(three_point):

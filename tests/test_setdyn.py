@@ -497,6 +497,12 @@ def test_chaos_game_contract(cantor):
         chaos_game(cantor, (0.5, 0.5), 0.2, steps=10, burnin=20, rng_seed=0, delta=1e-3)
 
 
+def test_chaos_game_rejects_a_negative_burnin(cantor):
+    # buf[-3:] would keep only the last three points
+    with pytest.raises(ValueError, match="burnin must be non-negative"):
+        chaos_game(cantor, (0.5, 0.5), 0.5, steps=1000, burnin=-3, rng_seed=1, delta=1e-3)
+
+
 def test_chaos_game_scatter_inside_K(cantor, cantor_K):
     cloud, _ = chaos_game(
         cantor, (0.5, 0.5), 0.2, steps=20_000, burnin=500, rng_seed=11, delta=1e-3
