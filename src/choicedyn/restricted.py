@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .setdyn import (
-    ModelSpec, PointCloud, _check_maxiter, _check_symbols, _decode, _Graph, _rows_isin, _snap, _sweep, hausdorff,
+    ModelSpec, PointCloud, _check_maxiter, _check_symbols, _Graph, _rows_isin, _snap, _sweep, hausdorff,
 )
 from .sofic import SoficPresentation, start_vertices
 from .symbolic import UPString, enumerate_words
@@ -31,7 +31,7 @@ from .symbolic import UPString, enumerate_words
 @dataclass(frozen=True, eq=False)
 class VertexFamily:
     """Per-vertex limit clouds of a presentation, with diagnostics; ``stop``
-    names the rule that ended the sweeps: "cycle", "tol" or "maxiter"."""
+    names the rule that ended the sweeps: "cycle" or "maxiter"."""
 
     presentation: SoficPresentation
     clouds: dict
@@ -63,12 +63,11 @@ def vertex_limits(
     Every vertex starts at the full bounding cloud; one sweep replaces each
     C_v by the snapped union of S_j(C_u) over edges (u -j-> v).  Sweeps are
     Jacobi-style: all vertices advance from the same snapshot, up to the
-    family's first recurrence or, from an absorbing seed at delta > 0, a
-    sweep that moves no vertex cloud by more than delta.  From an absorbing
-    seed the clouds only shrink, so a cloud moves by the distance from the
-    nodes the sweep removed to the new cloud, which is the Hausdorff
-    distance of the two clouds; a cloud that grows there raises
-    RuntimeError.  Equal vertex clouds are one object.
+    family's first recurrence or ``maxiter``.  From an absorbing seed the
+    clouds only shrink, so the recurrence is the exact limit on the grid:
+    C_v holds the nodes x for which (v, x) is reachable from a cycle of the
+    product graph (u, x) -> (v, snap(S_j(x))); a cloud that grows there
+    raises RuntimeError.  Equal vertex clouds are one object.
     """
     _check_maxiter(maxiter)
     if pres.is_empty:
@@ -77,42 +76,12 @@ def vertex_limits(
     g = _Graph(model, delta)
     # a vertex without live incoming edges gets the empty set: no long word ends there
     incoming = [[(pres.vertices.index(u), j) for u, j, dst in sorted(pres.edges) if dst == v] for v in pres.vertices]
-
-    def early(prev, masks):  # from an absorbing seed: no vertex cloud moved by more than delta
-        residual = max(_removed_distance(g, old, new) for old, new in zip(prev, masks))
-        return residual if residual <= delta else None
-
-    masks, k, residual, stop = _sweep(g, incoming, maxiter, early if g.absorbing and g.delta > 0 else None)
+    masks, k, residual, stop = _sweep(g, incoming, maxiter)
     clouds = {}
     for v, m in zip(pres.vertices, masks):
         cloud = g.cloud(*m)
         clouds[v] = next((c for c in clouds.values() if c == cloud), cloud)
     return VertexFamily(pres, clouds, residual, k, stop)
-
-
-def _removed_distance(g: _Graph, old: np.ndarray, new: np.ndarray) -> float:
-    """Distance from the nodes of mask old missing from mask new to new (their
-    Hausdorff distance when new is a subset of old) if each of them has a
-    node of new next to it, and inf otherwise, where it exceeds delta too.
-
-    On a delta > 0 grid only a node's axis neighbours (key +-1 in one
-    coordinate) lie within delta of it, each at the difference of that one
-    coordinate, which is the float a search tree returns for the pair.
-    """
-    new = g.fit(new)
-    removed = np.flatnonzero(g.fit(old) & ~new)
-    keys = _decode(g.cols, g.code[removed])
-    nearest = np.full(len(removed), np.inf)
-    for c in range(keys.shape[1]):
-        for step in (-1, 1):
-            moved = keys.copy()
-            moved[:, c] += step
-            ids = g.lookup(moved)
-            hit = ids >= 0
-            hit[hit] = new[ids[hit]]
-            gap = np.abs(keys[:, c] * g.delta - moved[:, c] * g.delta)
-            nearest[hit] = np.minimum(nearest[hit], gap[hit])
-    return float(nearest.max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -118,10 +118,12 @@ def _rows_isin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _compact(keys: np.ndarray) -> np.ndarray:
-    """Integer grid keys as int32 where they fit, in half the memory."""
-    if keys.dtype == np.int64 and -(2**31) <= keys.min(initial=0) and keys.max(initial=0) < 2**31:
-        return keys.astype(np.int32)
-    return keys
+    """Integer grid keys in the first of int16, int32 and int64 that holds them."""
+    if keys.dtype.kind != "i":
+        return keys
+    lo, hi = keys.min(initial=0), keys.max(initial=0)
+    fits = (t for t in (np.int16, np.int32) if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+    return keys.astype(next(fits, np.int64), copy=False)
 
 
 def _check_grid(clouds) -> None:
@@ -137,7 +139,8 @@ class PointCloud:
     Construction snaps, deduplicates, and sorts; two clouds with the same
     delta compare equal iff they are the same set.  ``delta == 0`` keeps
     coordinates exact (discrete models).  A cloud holds the grid keys of
-    its points, int32 where they fit, and ``points`` are key * delta.
+    its points, int16 or int32 where they fit, and ``points`` are the float64
+    products key * delta.
     """
 
     __slots__ = ("delta", "_rows")
@@ -160,7 +163,8 @@ class PointCloud:
 
     @property
     def points(self) -> np.ndarray:
-        return self._rows * self.delta if self.delta > 0 else self._rows
+        # dtype float64: numpy 1.x promotes int16 keys times a Python float to float32
+        return np.multiply(self._rows, self.delta, dtype=np.float64) if self.delta > 0 else self._rows
 
     @property
     def n(self) -> int:
@@ -418,15 +422,14 @@ class _Graph:
         return hausdorff(self.cloud(a), self.cloud(b), self.model)
 
 
-def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter: int = 1000, early=None):
+def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter: int = 1000):
     """Orbit s_k = step(k, s_{k-1}) of a tuple of masks over g: (states, k, residual, stop).
 
     Past ``pre``, s_k is keyed by its phase (k - pre) mod p and digests of its
     masks without the zero bytes that pad older, shorter masks.  The first key
     seen before, at i, ends the run with the cycle s_i ... s_{k-1}, replayed
-    from s_k on the filled successor tables (stop "cycle").  A residual from
-    ``early(s_{k-1}, s_k)`` ends it at s_k ("tol"); ``maxiter`` ends it
-    unconverged at the last p + 1 states ("maxiter").
+    from s_k on the filled successor tables (stop "cycle"); ``maxiter`` ends
+    it unconverged at the last p + 1 states ("maxiter").
     """
     tail, seen = [start], {}
     for k in range(maxiter + 1):
@@ -437,9 +440,6 @@ def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter
             for j in range(k + 1, 2 * k - i):
                 tail.append(step(j, tail[-1]))
             return tail[i - k :], k, 0.0, "cycle"
-        residual = early(tail[-2], tail[-1]) if k and early else None
-        if residual is not None:
-            return tail[-1:], k, residual, "tol"
     residual = max(map(g.distance, tail[0], tail[-1])) if len(tail) > p else math.inf
     return tail, maxiter, residual, "maxiter"
 
@@ -450,13 +450,14 @@ def _check_maxiter(maxiter: int) -> None:
         raise ValueError(f"maxiter must be non-negative, got {maxiter}")
 
 
-def _sweep(g: _Graph, incoming, maxiter: int, early=None):
+def _sweep(g: _Graph, incoming, maxiter: int):
     """Jacobi sweeps C'_v = union of snap(S_j(C_u)) over the (u, j) in
     incoming[v], every C_v starting at all nodes of g: (masks, k, residual, stop).
 
     masks[v] holds vertex v's masks over the orbit's cycle, or its last mask;
-    the rest is ``_recurrence``'s.  From the model's seed flagged absorbing a
-    sweep that adds a node raises RuntimeError.
+    the rest is ``_recurrence``'s.  From the model's seed flagged absorbing the
+    masks only shrink, so the orbit ends at a fixed point or at ``maxiter``,
+    and a sweep that adds a node raises RuntimeError.
     """
 
     def sweep(k, masks):
@@ -465,9 +466,7 @@ def _sweep(g: _Graph, incoming, maxiter: int, early=None):
             raise RuntimeError(f"model {g.model.name!r}: seed_absorbing seed is not absorbing")
         return new
 
-    states, k, residual, stop = _recurrence(
-        g, sweep, (np.ones(g.n, bool),) * len(incoming), maxiter=maxiter, early=early
-    )
+    states, k, residual, stop = _recurrence(g, sweep, (np.ones(g.n, bool),) * len(incoming), maxiter=maxiter)
     return list(zip(*(states if stop == "cycle" else states[-1:]))), k, residual, stop
 
 

@@ -299,8 +299,7 @@ def test_slices_three_point(tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["0.001", "-1"])
 def test_slices_tol_below_delta_exits_2(tmp_path, capsys, tol):
-    # the vertex-family exit compares with delta, so slices takes no --tol:
-    # a tol below delta is refused before any slice is computed
+    # slices takes no --tol: a tol is refused before any slice is computed
     argv = ("slices", "--model", "malaria", "--subshift", "golden_mean", "--delta", "0.05", "--tol", tol)
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, "--out", str(tmp_path / "out"))

@@ -24,6 +24,7 @@ from choicedyn.setdyn import (
 from choicedyn.sofic import SoficPresentation, builtin, start_vertices
 from choicedyn.symbolic import UPString, enumerate_words, parse_strategy
 from choicedyn.verify import product_graph_slice_oracle
+from test_setdyn import _grid_tables, _reachable_from_cycles
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +166,7 @@ def test_three_cycle_orbit_slices_can_coincide():
         upper=(1.0,),
         seeder=lambda delta: np.linspace(0.0, 1.0, int(round(1.0 / delta)) + 1)[:, None],
     )
-    # without seed_absorbing no tol exit applies: the sweeps run to the exact limit
+    # without seed_absorbing too the sweeps run to their recurrence
     family = vertex_limits(model, pres, delta=1e-3)
     assert family.stop == "cycle"
     starts = {str(u): start_vertices(pres, u) for u in
@@ -351,54 +352,32 @@ def test_save_slice_report_round_trip(tmp_path, three_point, golden_even_family)
     assert PointCloud.from_csv((tmp_path / "k_lambda.csv").read_text(), report.delta) == report.k_lambda
 
 
-def test_vertex_limits_reports_its_tol_exit():
-    # dt = 0.005 moves the clouds by less than delta = 0.02 long before the limit
-    slow = models.build_model("malaria", {"dt": 0.005})
-    family = vertex_limits(slow, builtin("golden_mean"), delta=0.02)
-    assert family.stop == "tol" and family.iterations == 2 and family.converged
-    assert {v: c.n for v, c in family.clouds.items()} == {"g0": 2459, "g1": 2385}
-
-
-def _tree_hausdorff(g, old, new):
-    """The Hausdorff step of two masks, both sides through the search tree."""
-    a, b = g.fit(old), g.fit(new)
-    if np.array_equal(a, b):
-        return 0.0
-    if not b.any():
-        return math.inf
-    pa, pb = g.cloud(a).points, g.cloud(b).points
-    return float(max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max()))
+_SUBSHIFTS = ("golden_mean", "even_shift", "golden_even")
+_MODELS = {"malaria_dt0.005": ("malaria", {"dt": 0.005}), "cantor": ("cantor", {})}
 
 
 @pytest.mark.parametrize(
-    "model,subshift,delta",
-    [
-        *[(models.build_model("malaria", {"dt": 0.005}), sub, delta)
-          for sub in ("golden_mean", "even_shift", "golden_even") for delta in (0.02, 0.01)],
-        (models.build_model("gestalt"), "golden_mean", 0.0),  # the dsigma metric
-        *[(models.build_model("cantor"), sub, 1e-2) for sub in ("golden_mean", "even_shift", "golden_even")],
-    ],
+    "label, subshift, delta",
+    [*[("malaria_dt0.005", sub, delta) for sub in _SUBSHIFTS for delta in (0.02, 0.01)],
+     *[("cantor", sub, 1e-2) for sub in _SUBSHIFTS]],
 )
-def test_removed_node_residual_is_the_hausdorff_step(monkeypatch, model, subshift, delta):
-    # the whole family, stop rule, sweep count and residual are those of a
-    # delta exit on the two-sided Hausdorff step through the search tree,
-    # taken at every sweep from an absorbing seed, delta = 0 included; malaria
-    # at delta = 0.02 and cantor over golden_mean stop on that exit
-    shipped = vertex_limits(model, builtin(subshift), delta=delta)
-    recurrence = setdyn._recurrence
-
-    def tree_exit(g, step, start, *args, early, **kwargs):
-        def hausdorff_step(prev, masks):
-            residual = max(_tree_hausdorff(g, a, b) for a, b in zip(prev, masks))
-            return residual if residual <= g.delta else None
-
-        return recurrence(g, step, start, *args, early=hausdorff_step if g.absorbing else None, **kwargs)
-
-    monkeypatch.setattr(setdyn, "_recurrence", tree_exit)
-    tree = vertex_limits(model, builtin(subshift), delta=delta)
-    assert (shipped.stop, shipped.iterations) == (tree.stop, tree.iterations)
-    assert shipped.residual == tree.residual
-    assert shipped.clouds == tree.clouds
+def test_vertex_limits_equal_the_product_graph_limits(label, subshift, delta):
+    # each vertex cloud is the set of grid nodes x with (v, x) reachable from a
+    # cycle of the product graph (u, x) -> (v, S_j(x)) over the edges (u, j, v);
+    # the sweeps run to that exact limit, also where it takes dozens of sweeps
+    # that each move the clouds by less than delta
+    model, pres = models.build_model(*_MODELS[label]), builtin(subshift)
+    coords, tables = _grid_tables(model, delta)
+    n, at = len(coords), {v: i for i, v in enumerate(pres.vertices)}
+    src = np.concatenate([at[u] * n + np.arange(n) for u, _, _ in pres.edges])
+    dst = np.concatenate([at[v] * n + tables[j] for _, j, v in pres.edges])
+    reach = _reachable_from_cycles(len(at) * n, src, dst).reshape(len(at), n)
+    family = vertex_limits(model, pres, delta)
+    assert family.stop == "cycle" and family.residual == 0.0
+    for v, i in at.items():
+        assert np.array_equal(family.clouds[v].points, coords[reach[i]]), v
+    if (label, subshift, delta) == ("malaria_dt0.005", "golden_mean", 0.02):
+        assert family.iterations == 41 and {v: c.n for v, c in family.clouds.items()} == {"g0": 1719, "g1": 1649}
 
 
 @settings(max_examples=100, deadline=None)

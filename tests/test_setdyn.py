@@ -161,15 +161,34 @@ def test_distances_of_equal_shifted_and_nested_clouds():
     assert directed_distance(line, shifted) == side - 0.5  # from 2 * side - 1 to side - 0.5
 
 
-def test_a_cloud_holds_int32_keys_where_they_fit():
-    # half the memory of its float points; the points are key * delta, as before
+def test_a_cloud_holds_int16_or_int32_keys_where_they_fit():
+    # the narrowest signed type that holds every key; the points are the
+    # float64 products key * delta, whatever the keys' width
     rows = np.array([[0.25, -0.5], [1.0, 2.0]])
     cloud = PointCloud(rows[::-1], 0.25)
-    assert cloud._rows.dtype == np.int32 and cloud._rows.tolist() == [[1, -2], [4, 8]]
+    assert cloud._rows.dtype == np.int16 and cloud._rows.tolist() == [[1, -2], [4, 8]]
     assert cloud.points.dtype == np.float64 and np.array_equal(cloud.points, rows)
     far = PointCloud(np.array([[2.0**40]]), 0.5)
     assert far._rows.dtype == np.int64 and far.points.tolist() == [[2.0**40]]
     assert PointCloud(rows, 0.0)._rows.dtype == np.float64
+    widths = {np.int16: (32767, -32768), np.int32: (32768, -32769, 2**31 - 1, -(2**31)),
+              np.int64: (2**31, -(2**31) - 1)}
+    for dtype, keys in widths.items():
+        for key in keys:
+            edge = PointCloud(np.array([[0.0, key * 0.1]]), 0.1)
+            assert edge._rows.dtype == dtype and edge._rows.tolist() == [[0, key]], key
+            assert edge.points.dtype == np.float64
+            assert np.array_equal(edge.points, np.array([[0, key]], dtype=np.float64) * 0.1), key
+    # set algebra between an int16 and an int32 cloud compares key values
+    wide = PointCloud(np.array([[1, 40000], [2, 3], [-5, 0]]) * 0.1, 0.1)
+    narrow = PointCloud(np.array([[2, 3], [5, 5]]) * 0.1, 0.1)
+    assert (wide._rows.dtype, narrow._rows.dtype) == (np.int32, np.int16)
+    assert wide != narrow and wide == PointCloud(wide.points, 0.1)
+    assert PointCloud.union([wide, narrow])._rows.tolist() == [[-5, 0], [1, 40000], [2, 3], [5, 5]]
+    assert wide.difference(narrow)._rows.tolist() == [[-5, 0], [1, 40000]]
+    assert narrow.difference(wide) == PointCloud([[0.5, 0.5]], 0.1)
+    assert wide.intersection(narrow) == narrow.intersection(wide) == PointCloud([[0.2, 0.3]], 0.1)
+    assert wide.intersection(narrow)._rows.dtype == np.int16
 
 
 def _random_cloud(rng, n, dim, delta, span, apart=0.0):
@@ -630,9 +649,8 @@ def _grid_tables(model, delta):
     return coords, [node(fn(coords)) for fn in model.maps]
 
 
-def _reachable_from_cycles(tables):
-    n = len(tables[0])
-    src, dst = np.tile(np.arange(n), len(tables)), np.concatenate(tables)
+def _reachable_from_cycles(n, src, dst):
+    """Which of the nodes 0 ... n-1 of the edges src -> dst a cycle reaches."""
     graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
     _, label = connected_components(graph, directed=True, connection="strong")
     reach = np.bincount(label)[label] > 1
@@ -654,7 +672,8 @@ def test_compute_K_equals_cycle_reachable_grid_nodes(name, params, delta):
     # the last two pass steps that move K by at most delta well before its limit
     model = models.build_model(name, params)
     coords, tables = _grid_tables(model, delta)
-    oracle = coords[_reachable_from_cycles(tables)]
+    n = len(coords)
+    oracle = coords[_reachable_from_cycles(n, np.tile(np.arange(n), len(tables)), np.concatenate(tables))]
     rep = compute_K(model, delta)
     assert rep.stop == "cycle" and rep.residual == 0.0
     assert np.array_equal(rep.cloud.points, oracle)
