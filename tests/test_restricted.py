@@ -1,5 +1,4 @@
 import json
-import math
 import time
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from choicedyn import models, restricted, setdyn
+from choicedyn import models, restricted
 from choicedyn.restricted import (
     enumerate_slices,
     save_slice_report,
@@ -353,13 +352,13 @@ def test_save_slice_report_round_trip(tmp_path, three_point, golden_even_family)
 
 
 _SUBSHIFTS = ("golden_mean", "even_shift", "golden_even")
-_MODELS = {"malaria_dt0.005": ("malaria", {"dt": 0.005}), "cantor": ("cantor", {})}
+_MODELS = {"malaria_dt0.005": ("malaria", {"dt": 0.005}), "cantor": ("cantor", {}), "gestalt": ("gestalt", {})}
 
 
 @pytest.mark.parametrize(
     "label, subshift, delta",
     [*[("malaria_dt0.005", sub, delta) for sub in _SUBSHIFTS for delta in (0.02, 0.01)],
-     *[("cantor", sub, 1e-2) for sub in _SUBSHIFTS]],
+     *[("cantor", sub, 1e-2) for sub in _SUBSHIFTS], ("gestalt", "golden_mean", 0.0)],
 )
 def test_vertex_limits_equal_the_product_graph_limits(label, subshift, delta):
     # each vertex cloud is the set of grid nodes x with (v, x) reachable from a
@@ -367,7 +366,11 @@ def test_vertex_limits_equal_the_product_graph_limits(label, subshift, delta):
     # the sweeps run to that exact limit, also where it takes dozens of sweeps
     # that each move the clouds by less than delta
     model, pres = models.build_model(*_MODELS[label]), builtin(subshift)
-    coords, tables = _grid_tables(model, delta)
+    if delta:
+        coords, tables = _grid_tables(model, delta)
+    else:  # gestalt's states 0 ... 2**depth - 1 are their own node ids
+        coords = model.seeder(0.0)
+        tables = [fn(coords)[:, 0].astype(np.int64) for fn in model.maps]
     n, at = len(coords), {v: i for i, v in enumerate(pres.vertices)}
     src = np.concatenate([at[u] * n + np.arange(n) for u, _, _ in pres.edges])
     dst = np.concatenate([at[v] * n + tables[j] for _, j, v in pres.edges])
