@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -381,6 +382,45 @@ def test_vertex_limits_equal_the_product_graph_limits(label, subshift, delta):
         assert np.array_equal(family.clouds[v].points, coords[reach[i]]), v
     if (label, subshift, delta) == ("malaria_dt0.005", "golden_mean", 0.02):
         assert family.iterations == 41 and {v: c.n for v, c in family.clouds.items()} == {"g0": 1719, "g1": 1649}
+
+
+def _brute_hausdorff(model, a, b):
+    """Two-sided Hausdorff distance of two clouds by exhaustive search: the
+    search tree, or the least xor of codes for a code-space model; 0 when
+    equal, inf when just one is empty."""
+    if a == b:
+        return 0.0
+    if not a.n or not b.n:
+        return math.inf
+    if not model.dsigma_bits:
+        return float(max(cKDTree(b.points).query(a.points)[0].max(), cKDTree(a.points).query(b.points)[0].max()))
+
+    def directed(x, y):
+        cx, cy = x.points[:, 0].astype(np.int64), y.points[:, 0].astype(np.int64)
+        worst = max(int(np.min(part[:, None] ^ cy, axis=1).max()) for part in np.array_split(cx, -(-len(cx) // 256)))
+        return math.ldexp(1.0, worst.bit_length() - 1 - model.dsigma_bits) if worst else 0.0
+
+    return max(directed(a, b), directed(b, a))
+
+
+@pytest.mark.parametrize(
+    "model,subshift,delta",
+    [
+        *[(models.build_model("malaria", {"dt": 0.005}), sub, delta) for sub in _SUBSHIFTS for delta in (0.02, 0.01)],
+        (models.build_model("gestalt"), "golden_mean", 0.0),  # the dsigma metric
+        *[(models.build_model("cantor"), sub, 1e-2) for sub in _SUBSHIFTS],
+    ],
+)
+def test_removed_node_residual_is_the_hausdorff_step(model, subshift, delta):
+    # cut at maxiter one sweep before its limit, a family reports as residual
+    # the two-sided Hausdorff step of its last sweep, found by exhaustive
+    # search; from the absorbing seed that sweep only removes nodes
+    pres = builtin(subshift)
+    k = vertex_limits(model, pres, delta=delta).iterations
+    before, cut = (vertex_limits(model, pres, delta=delta, maxiter=m) for m in (k - 2, k - 1))
+    assert (cut.stop, cut.iterations, cut.converged) == ("maxiter", k - 1, False)
+    assert all(cut.clouds[v].difference(before.clouds[v]).n == 0 for v in pres.vertices)
+    assert cut.residual == max(_brute_hausdorff(model, before.clouds[v], cut.clouds[v]) for v in pres.vertices) > 0
 
 
 @settings(max_examples=100, deadline=None)

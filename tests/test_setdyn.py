@@ -161,6 +161,26 @@ def test_distances_of_equal_shifted_and_nested_clouds():
     assert directed_distance(line, shifted) == side - 0.5  # from 2 * side - 1 to side - 0.5
 
 
+def _assert_key_widths(widths):
+    """Each key k of widths[dtype], in a cloud with key 0 at delta 0.1, is held
+    as dtype, and its point is the float64 product k * 0.1."""
+    for dtype, keys in widths.items():
+        for key in keys:
+            edge = PointCloud(np.array([[0.0, key * 0.1]]), 0.1)
+            assert edge._rows.dtype == dtype and edge._rows.tolist() == [[0, key]], key
+            assert edge.points.dtype == np.float64
+            assert np.array_equal(edge.points, np.array([[0, key]], dtype=np.float64) * 0.1), key
+
+
+def test_a_cloud_holds_int32_keys_where_they_fit():
+    # keys past int16 and within int32 are int32, half the memory of int64;
+    # past int32 they are int64, and delta = 0 keeps the float points
+    _assert_key_widths({np.int32: (32768, -32769, 2**31 - 1, -(2**31)), np.int64: (2**31, -(2**31) - 1)})
+    far = PointCloud(np.array([[2.0**40]]), 0.5)
+    assert far._rows.dtype == np.int64 and far.points.tolist() == [[2.0**40]]
+    assert PointCloud(np.array([[0.25, -0.5], [1.0, 2.0]]), 0.0)._rows.dtype == np.float64
+
+
 def test_a_cloud_holds_int16_or_int32_keys_where_they_fit():
     # the narrowest signed type that holds every key; the points are the
     # float64 products key * delta, whatever the keys' width
@@ -168,17 +188,7 @@ def test_a_cloud_holds_int16_or_int32_keys_where_they_fit():
     cloud = PointCloud(rows[::-1], 0.25)
     assert cloud._rows.dtype == np.int16 and cloud._rows.tolist() == [[1, -2], [4, 8]]
     assert cloud.points.dtype == np.float64 and np.array_equal(cloud.points, rows)
-    far = PointCloud(np.array([[2.0**40]]), 0.5)
-    assert far._rows.dtype == np.int64 and far.points.tolist() == [[2.0**40]]
-    assert PointCloud(rows, 0.0)._rows.dtype == np.float64
-    widths = {np.int16: (32767, -32768), np.int32: (32768, -32769, 2**31 - 1, -(2**31)),
-              np.int64: (2**31, -(2**31) - 1)}
-    for dtype, keys in widths.items():
-        for key in keys:
-            edge = PointCloud(np.array([[0.0, key * 0.1]]), 0.1)
-            assert edge._rows.dtype == dtype and edge._rows.tolist() == [[0, key]], key
-            assert edge.points.dtype == np.float64
-            assert np.array_equal(edge.points, np.array([[0, key]], dtype=np.float64) * 0.1), key
+    _assert_key_widths({np.int16: (32767, -32768), np.int32: (32768, -32769)})
     # set algebra between an int16 and an int32 cloud compares key values
     wide = PointCloud(np.array([[1, 40000], [2, 3], [-5, 0]]) * 0.1, 0.1)
     narrow = PointCloud(np.array([[2, 3], [5, 5]]) * 0.1, 0.1)
