@@ -14,9 +14,12 @@ one pair of ``perfbench/run.py`` runs of BENCHMARK.json's ``run_seconds``, one
 run at a time; even pairs run the parent first, odd pairs the change first.
 
 The output holds, under ``runs["<workload> seeds <seeds>"]``, each end-to-end
-metric's median and quartiles on both sides, the pairs the change won and
-every run, with each side's correctness, failed and attempted operations and
-rounds.  With ``--trace`` each seed instead gets one traced run per side,
+metric's median and quartiles on both sides, the pairs the change won, the
+change/parent ratio of the medians with BENCHMARK.json's bound and a verdict,
+and every run, with each side's correctness, failed and attempted operations
+and rounds.  The verdict is "unresolved" when either side's quartile spread,
+relative to its median, is wider than the bound; otherwise "over" when the
+ratio is worse than 1 by more than the bound, else "within".  With ``--trace`` each seed instead gets one traced run per side,
 stored under ``traced["<workload> seed <s>"]``.  An existing output file is
 updated: entries of other seed sets and its ``notes`` are kept.
 """
@@ -76,17 +79,32 @@ def _quartiles(values) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def _summary(pairs, better: dict) -> dict:
-    """Per metric: both sides' quartiles, the pairs the change won, every run."""
+def _verdict(parent: dict, change: dict, better: str, bound: float) -> str:
+    """"unresolved" if a side's quartiles spread wider than bound times its
+    median, else "over" if the change's median is worse than the parent's by
+    more than the bound, else "within"."""
+    if any(q["q3"] - q["q1"] > bound * q["median"] for q in (parent, change)):
+        return "unresolved"
+    ratio = change["median"] / parent["median"]
+    return "over" if (ratio > 1 + bound if better == "lower" else ratio < 1 - bound) else "within"
+
+
+def _summary(pairs, end_to_end) -> dict:
+    """Per metric: both sides' quartiles, the pairs the change won, the median
+    ratio against the bound, every run."""
     metrics = {}
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name, direction, bound = metric["name"], metric["better"], metric["bound"]
         parent = [round(p["metrics"][name]["value"], 4) for p, _ in pairs]
         change = [round(c["metrics"][name]["value"], 4) for _, c in pairs]
         won = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
+        quartiles = {"parent": _quartiles(parent), "change": _quartiles(change)}
         metrics[name] = {
-            "parent": _quartiles(parent),
-            "change": _quartiles(change),
+            **quartiles,
             "change_better_in_pairs": f"{won}/{len(pairs)}",
+            "median_ratio": round(quartiles["change"]["median"] / quartiles["parent"]["median"], 4),
+            "bound": bound,
+            "verdict": _verdict(quartiles["parent"], quartiles["change"], direction, bound),
             "parent_runs": parent,
             "change_runs": change,
         }
@@ -126,7 +144,8 @@ def main(argv=None) -> int:
             bench = json.load(fh)
         workloads = args.workload or [w["name"] for w in bench["workloads"]]
         seconds = bench["run_seconds"]
-        better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+        end_to_end = bench["end_to_end"]
+        names = [m["name"] for m in end_to_end]
         report.update({
             "what": "perfbench end-to-end metrics of the parent and the change commit: alternating pairs of"
                     " untraced runs under 'runs', one traced run per side under 'traced'",
@@ -155,11 +174,11 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 runs = {side: {**_run(trees[side], workload, seed, seconds, 0), "seed": seed} for side in order}
                 pairs.append((runs["parent"], runs["change"]))
-                values = {side: {name: r["metrics"][name]["value"] for name in better} for side, r in runs.items()}
+                values = {side: {name: r["metrics"][name]["value"] for name in names} for side, r in runs.items()}
                 print(f"{workload} seed {seed}: " + ", ".join(
-                    f"{name} {values['parent'][name]:.4g} -> {values['change'][name]:.4g}" for name in better
+                    f"{name} {values['parent'][name]:.4g} -> {values['change'][name]:.4g}" for name in names
                 ), file=sys.stderr, flush=True)
-            report.setdefault("runs", {})[f"{workload} seeds {args.seeds}"] = _summary(pairs, better)
+            report.setdefault("runs", {})[f"{workload} seeds {args.seeds}"] = _summary(pairs, end_to_end)
     report.setdefault("notes", [])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)

@@ -8,13 +8,12 @@ accepting path ends at v, and the slice of a strategy u is the union of
 the family over start_vertices(P, u).  Deduplicating slice clouds over all
 short ultimately periodic strategies enumerates the finitely many distinct
 slices; the union of the family is the restricted attractor projection
-K_Lambda together with its decomposition sets A_j = {x : S_j(x) stays in
-K_Lambda}.
+K_Lambda together with its decomposition sets A_j = {x : S_j(x) lies within
+delta of K_Lambda}.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .setdyn import (
-    ModelSpec, PointCloud, _check_maxiter, _check_symbols, _Graph, _rows_isin, _snap, _sweep, hausdorff,
+    ModelSpec, PointCloud, _check_maxiter, _check_symbols, _Graph, _nearest, _sweep, hausdorff,
 )
 from .sofic import SoficPresentation, start_vertices
 from .symbolic import UPString, enumerate_words
@@ -96,30 +95,13 @@ class SliceReport:
     a_sets: tuple
 
 
-def _within_delta(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
-    """Which points lie within cloud.delta > 0 of the cloud, up to rounding.
-
-    Only the 3^dim grid nodes around a point's own node can: any other node
-    is at least 1.5 delta away.  Each distance sums the squared coordinate
-    differences in coordinate order, as a search tree does.
-    """
-    delta = cloud.delta
-    own, keys = _snap(points, delta), cloud._rows
-    found = np.zeros(len(points), bool)
-    for offset in itertools.product((-1, 0, 1), repeat=cloud.dim):
-        node = own + np.array(offset)
-        sq = np.zeros(len(points))
-        for c in range(cloud.dim):
-            sq += (points[:, c] - node[:, c] * delta) ** 2
-        found |= (np.sqrt(sq) <= delta * (1.0 + 1e-9) + 1e-12) & _rows_isin(node, keys)
-    return found
-
-
 def _decomposition_sets(model: ModelSpec, k_lambda: PointCloud, delta: float):
+    """A_j: the points of K_Lambda whose image under S_j lies within delta of
+    K_Lambda (at delta = 0, on it), up to rounding."""
     sets = []
     for fn in model.maps:
         images = np.asarray(fn(k_lambda.points), dtype=float)
-        mask = _within_delta(images, k_lambda) if delta > 0 else k_lambda.contains_points(images)
+        mask = _nearest(images, k_lambda) <= delta * (1.0 + 1e-9) + 1e-12
         sets.append(k_lambda if mask.all() else PointCloud(k_lambda.points[mask], delta))
     return tuple(sets)
 

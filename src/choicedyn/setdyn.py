@@ -341,8 +341,9 @@ class _Graph:
     def n(self) -> int:
         return len(self.code)
 
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Node ids of the grid keys, -1 for a key that is no node; adds no node."""
+    def nodes(self, points) -> np.ndarray:
+        """Node ids of the snapped points; unseen keys become new nodes."""
+        keys = _snap(_as_point_array(points, self.model.dim), self.delta)
         code = np.zeros(len(keys), np.int64)
         known = np.ones(len(keys), bool)
         for col, vals in zip(keys.T, self.cols):
@@ -350,13 +351,7 @@ class _Graph:
             known &= vals[rank] == col
             code = code * len(vals) + rank
         ids = self.order[np.minimum(np.searchsorted(self.code, code, sorter=self.order), self.n - 1)]
-        return np.where(known & (self.code[ids] == code), ids, -1)
-
-    def nodes(self, points) -> np.ndarray:
-        """Node ids of the snapped points; unseen keys become new nodes."""
-        keys = _snap(_as_point_array(points, self.model.dim), self.delta)
-        ids = self.lookup(keys)
-        miss = ids < 0
+        miss = ~known | (self.code[ids] != code)
         if miss.any():
             keys = keys[miss]
             if not all(np.isin(col, vals).all() for col, vals in zip(keys.T, self.cols)):
@@ -499,6 +494,8 @@ def _nearest(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
     squares are summed in coordinate order and the root is taken last, as a
     search tree does, so the result is the same float.
     """
+    if cloud.dim > 2:
+        raise ValueError(f"a cloud of dimension {cloud.dim}: distances need dimension 1 or 2")
     b = cloud.points
     if cloud.dim == 1:
         b, points = (np.column_stack((p[:, 0], np.zeros(len(p)))) for p in (b, points))
@@ -539,8 +536,8 @@ def _directed_dsigma(a: np.ndarray, b: np.ndarray, bits: int) -> float:
 
 
 def directed_distance(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> float:
-    """One-sided distance sup_{x in a} dist(x, b) of 1-D or 2-D clouds: 0 for
-    the points of a that lie in b, ``_nearest`` for the rest."""
+    """One-sided distance sup_{x in a} dist(x, b) of 1-D or 2-D clouds, the
+    largest ``_nearest`` distance (0 for a point of a that lies in b)."""
     if a.n == 0:
         return 0.0
     if b.n == 0:
@@ -549,8 +546,7 @@ def directed_distance(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> 
         raise ValueError(f"clouds of dimension {a.dim} and {b.dim}: distances need one dimension, 1 or 2")
     if model is not None and model.dsigma_bits:
         return _directed_dsigma(a.points, b.points, model.dsigma_bits)
-    rest = a.points[~_rows_isin(a.points, b.points)]
-    return float(np.max(_nearest(rest, b))) if len(rest) else 0.0
+    return float(np.max(_nearest(a.points, b)))
 
 
 def hausdorff(a: PointCloud, b: PointCloud, model: ModelSpec = None) -> float:
@@ -650,19 +646,13 @@ def chaos_game(
     rng = np.random.default_rng(rng_seed)
     symbols = rng.choice(model.n_maps, size=steps, p=probs)
     fns = model.scalar_maps
-    if model.dim == 1:
-        x = float(x0 if np.isscalar(x0) else x0[0])
-        buf = np.empty(steps)
-        for i, s in enumerate(symbols.tolist()):
-            x = fns[s](x)
-            buf[i] = x
-        buf = buf[:, None]
-    else:
-        x = tuple(float(v) for v in np.atleast_1d(x0))
-        buf = np.empty((steps, model.dim))
-        for i, s in enumerate(symbols.tolist()):
-            x = fns[s](x)
-            buf[i] = x
+    start = [float(v) for v in np.atleast_1d(x0)]
+    x = start[0] if model.dim == 1 else tuple(start)
+    buf = np.empty((steps, model.dim))
+    out = buf[:, 0] if model.dim == 1 else buf  # scalar states write one float per row
+    for i, s in enumerate(symbols.tolist()):
+        x = fns[s](x)
+        out[i] = x
     model.escape_check(buf, delta)
     tail = buf[burnin:]
     cloud = PointCloud(tail, delta)

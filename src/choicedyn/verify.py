@@ -229,11 +229,10 @@ def c07_gestalt(ctx: Context) -> tuple:
         problems.append("K iteration did not converge")
     if not bool(K.cloud.contains_points([[float(target)]])[0]):
         problems.append("prefix of 000(100)* is missing from K")
-    strategies = [
-        UPString((), w.letters)
-        for length in (1, 2, 3, 4)
-        for w in enumerate_words(2, length)
-    ]
+    # the 30 words of length <= 4 normalise to 22 strategies: (00) is (0), (0101) is (01)
+    strategies = list(dict.fromkeys(
+        UPString((), w.letters) for length in (1, 2, 3, 4) for w in enumerate_words(2, length)
+    ))
     hit = []
     for w in strategies:
         rep = individual_attractor(model, w, delta=0.0)

@@ -446,6 +446,25 @@ def test_decomposition_sets_are_the_search_tree_threshold(dim, n, span, delta, s
     assert a == PointCloud(k.points[mask], delta)
 
 
+def test_decomposition_sets_reject_a_3d_cloud():
+    k = PointCloud(np.eye(3), 0.5)
+    probe = ModelSpec(name="probe", dim=3, maps=(lambda pts: pts,), scalar_maps=(None,),
+                      lower=(0.0,) * 3, upper=(1.0,) * 3, seeder=None)
+    with pytest.raises(ValueError, match="dimension 3"):
+        restricted._decomposition_sets(probe, k, 0.5)
+
+
+@pytest.mark.parametrize("subshift", ["full_shift", *_SUBSHIFTS])
+@pytest.mark.parametrize("name,params", [("three_point", {}), ("gestalt", {"depth": 10})])
+def test_decomposition_sets_at_delta_zero_are_snapped_membership(name, params, subshift):
+    # at delta = 0 the distance threshold is exact membership of the image in K_Lambda
+    model = models.build_model(name, params)
+    k = vertex_limits(model, builtin(subshift), delta=0.0).union()
+    sets = restricted._decomposition_sets(model, k, 0.0)
+    for fn, a in zip(model.maps, sets):
+        assert a == PointCloud(k.points[k.contains_points(fn(k.points))], 0.0)
+
+
 def test_vertex_limits_rejects_a_seed_flagged_absorbing_that_grows():
     # the seed {0, 1} maps onto {0, 0.5, 1}, which has more nodes; two constant
     # maps send it onto {0.5}, which has fewer nodes but one the seed lacks
