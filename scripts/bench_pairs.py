@@ -19,9 +19,10 @@ change/parent ratio of the medians with BENCHMARK.json's bound and a verdict,
 and every run, with each side's correctness, failed and attempted operations
 and rounds.  The verdict is "unresolved" when either side's quartile spread,
 relative to its median, is wider than the bound; otherwise "over" when the
-ratio is worse than 1 by more than the bound, else "within".  With ``--trace`` each seed instead gets one traced run per side,
-stored under ``traced["<workload> seed <s>"]``.  An existing output file is
-updated: entries of other seed sets and its ``notes`` are kept.
+ratio is worse than 1 by more than the bound, else "within".  With
+``--trace`` each seed instead gets one traced run per side, stored under
+``traced["<workload> seed <s>"]``.  An existing output file is updated:
+entries of other seed sets and its ``notes`` are kept.
 """
 
 from __future__ import annotations

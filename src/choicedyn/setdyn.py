@@ -643,10 +643,12 @@ def chaos_game(
         raise ValueError("burnin must be non-negative")
     if steps <= burnin:
         raise ValueError("steps must exceed burnin")
+    start = [float(v) for v in np.atleast_1d(x0)]
+    if len(start) != model.dim:
+        raise ValueError(f"x0 needs {model.dim} coordinates, got {len(start)}")
     rng = np.random.default_rng(rng_seed)
     symbols = rng.choice(model.n_maps, size=steps, p=probs)
     fns = model.scalar_maps
-    start = [float(v) for v in np.atleast_1d(x0)]
     x = start[0] if model.dim == 1 else tuple(start)
     buf = np.empty((steps, model.dim))
     out = buf[:, 0] if model.dim == 1 else buf  # scalar states write one float per row

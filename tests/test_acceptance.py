@@ -64,7 +64,8 @@ def test_c07_runs_each_distinct_periodic_strategy_once(ctx, monkeypatch):
     # the 30 words of length <= 4 are 22 strategies in normal form: (00) is (0), (0101) is (01)
     runs = []
     attractor = verify.individual_attractor
-    monkeypatch.setattr(verify, "individual_attractor", lambda model, w, **kw: runs.append(w) or attractor(model, w, **kw))
+    monkeypatch.setattr(verify, "individual_attractor",
+                        lambda model, w, **kw: runs.append(w) or attractor(model, w, **kw))
     result = _run(ctx, "C7")
     assert len(runs) == len(set(runs)) == 22
     assert result.detail == "prefix in K, absent from all 22 periodic strategies"

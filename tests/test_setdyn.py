@@ -532,6 +532,13 @@ def test_chaos_game_rejects_a_negative_burnin(cantor):
         chaos_game(cantor, (0.5, 0.5), 0.5, steps=1000, burnin=-3, rng_seed=1, delta=1e-3)
 
 
+def test_chaos_game_rejects_a_start_of_another_dimension(cantor):
+    # a 1-D model read only the first of three coordinates; a 2-D one failed inside its map
+    for model, x0 in ((cantor, [0.5, 0.5, 0.5]), (models.build_model("malaria"), 0.5)):
+        with pytest.raises(ValueError, match=f"x0 needs {model.dim} coordinates, got {len(np.atleast_1d(x0))}"):
+            chaos_game(model, (0.5, 0.5), x0, steps=1000, burnin=10, rng_seed=1, delta=1e-3)
+
+
 def test_chaos_game_scatter_inside_K(cantor, cantor_K):
     cloud, _ = chaos_game(
         cantor, (0.5, 0.5), 0.2, steps=20_000, burnin=500, rng_seed=11, delta=1e-3
