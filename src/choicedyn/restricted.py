@@ -17,14 +17,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .setdyn import (
     ModelSpec, PointCloud, _check_maxiter, _check_symbols, _Graph, _nearest, _sweep, hausdorff,
 )
-from .sofic import SoficPresentation, start_vertices
-from .symbolic import UPString, enumerate_words
+from .sofic import SoficPresentation, _walk, start_vertices
+from .symbolic import UPString
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +118,16 @@ def enumerate_slices(
 ) -> SliceReport:
     """Slices of every UPString with |preperiod| + |period| <= period_bound.
 
-    Candidates are all normalized (preperiod, period) pairs over the
-    alphabet; strings outside the subshift are skipped.  A slice depends only
-    on its start-vertex set, so the union is built once per set, for its
-    first strategy, and deduplicated against the slices found so far by set
-    equality (distinct start-vertex sets may still give equal slices).  Also
-    emits K_Lambda as the union of all vertex clouds and the decomposition
-    sets A_j.
+    The loop visits only normal forms: a primitive period and a preperiod
+    that is empty or ends in a letter other than the period's last; every
+    other pair normalizes to a shorter one, visited earlier.  Each period's
+    start-vertex set comes from ``start_vertices``, and a.pre's from pre's,
+    pulled back one letter; strings outside the subshift are skipped.  A
+    slice depends only on its start-vertex set, so the union is built once
+    per set, for its first strategy, and deduplicated against the slices
+    found so far by set equality (distinct start-vertex sets may still give
+    equal slices).  Also emits K_Lambda as the union of all vertex clouds and
+    the decomposition sets A_j.
     """
     if period_bound < 1:
         raise ValueError("period_bound must be at least 1")
@@ -133,27 +137,30 @@ def enumerate_slices(
     k_lambda = family.union()
     slices = []
     reps = {}
-    seen = set()
     slice_of = {}  # start-vertex set -> index of its slice
+    starts_of = {}  # (preperiod, period) of the last preperiod length -> its nonempty start set
     for pre_len in range(0, period_bound):
+        prev, starts_of = starts_of, {}
         for per_len in range(1, period_bound - pre_len + 1):
-            for pre in enumerate_words(n, pre_len):
-                for per in enumerate_words(n, per_len):
-                    u = UPString(pre.letters, per.letters)
-                    key = str(u)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    starts = start_vertices(pres, u)
+            pers = [(per, "".join(map(str, per))) for per in product(range(n), repeat=per_len)
+                    if all(per != per[:d] * (per_len // d) for d in range(1, per_len) if per_len % d == 0)]
+            for pre in product(range(n), repeat=pre_len):
+                text = "".join(map(str, pre))
+                for per, per_text in pers:
+                    if pre and pre[-1] == per[-1]:
+                        continue  # not a normal form
+                    starts = (_walk(pres._back, prev.get((pre[1:], per), frozenset()), pre[:1]) if pre
+                              else start_vertices(pres, UPString((), per)))
                     if not starts:
                         continue
+                    starts_of[pre, per] = starts
                     if starts not in slice_of:
                         cloud = PointCloud.union([family.clouds[v] for v in sorted(starts)])
                         i = next((i for i, s in enumerate(slices) if s == cloud), len(slices))
                         if i == len(slices):
                             slices.append(k_lambda if cloud.n == k_lambda.n else cloud)  # a slice lies in K_Lambda
                         slice_of[starts] = i
-                    reps[key] = slice_of[starts]
+                    reps[f"{text}({per_text})"] = slice_of[starts]
     a_sets = _decomposition_sets(model, k_lambda, k_lambda.delta)
     return SliceReport(
         delta=k_lambda.delta,

@@ -103,26 +103,43 @@ def _decode(cols, codes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, ascending: np.unique by a sort and a neighbour mask."""
+    a = np.sort(a)
+    keep = np.ones(len(a), bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _sorted_isin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.isin(a, b) for an ascending b, by a binary search."""
+    i = np.searchsorted(b, a)
+    found = i < len(b)
+    found[found] = b[i[found]] == a[found]
+    return found
+
+
 def _unique_rows(arr: np.ndarray) -> np.ndarray:
     """Deduplicated rows in lexicographic order (row-major)."""
-    cols = [np.unique(col) for col in arr.T]
+    cols = [_sorted_unique(col) for col in arr.T]
     if len(cols) == 1:
         return cols[0][:, None]
-    return _decode(cols, np.unique(_codes(cols, arr)))
+    return _decode(cols, _sorted_unique(_codes(cols, arr)))
 
 
 def _rows_isin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean mask: which rows of a occur among the rows of b."""
-    cols = [np.union1d(x, y) for x, y in zip(a.T, b.T)]
-    return np.isin(_codes(cols, a), _codes(cols, b))
+    """Boolean mask: which rows of a occur among the rows of b, which must
+    be distinct and in lexicographic order, as a cloud's are."""
+    cols = [_sorted_unique(np.concatenate((x, y))) for x, y in zip(a.T, b.T)]
+    return _sorted_isin(_codes(cols, a), _codes(cols, b))
 
 
 def _compact(keys: np.ndarray) -> np.ndarray:
-    """Integer grid keys in the first of int16, int32 and int64 that holds them."""
+    """Integer grid keys in the first of int8, int16, int32 and int64 that holds them."""
     if keys.dtype.kind != "i":
         return keys
     lo, hi = keys.min(initial=0), keys.max(initial=0)
-    fits = (t for t in (np.int16, np.int32) if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+    fits = (t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
     return keys.astype(next(fits, np.int64), copy=False)
 
 
@@ -139,7 +156,7 @@ class PointCloud:
     Construction snaps, deduplicates, and sorts; two clouds with the same
     delta compare equal iff they are the same set.  ``delta == 0`` keeps
     coordinates exact (discrete models).  A cloud holds the grid keys of
-    its points, int16 or int32 where they fit, and ``points`` are the float64
+    its points, int8, int16 or int32 where they fit, and ``points`` are the float64
     products key * delta.
     """
 
@@ -163,7 +180,7 @@ class PointCloud:
 
     @property
     def points(self) -> np.ndarray:
-        # dtype float64: numpy 1.x promotes int16 keys times a Python float to float32
+        # dtype float64: numpy 1.x promotes int8 or int16 keys times a Python float to float32
         return np.multiply(self._rows, self.delta, dtype=np.float64) if self.delta > 0 else self._rows
 
     @property
@@ -331,6 +348,7 @@ class _Graph:
         keys = _snap(_as_point_array(model.seeder(delta) if seed is None else seed, model.dim), delta)
         if len(keys) == 0 or keys.shape[1] != model.dim:
             raise ValueError(f"model {model.name!r} needs a nonempty seed of dimension {model.dim}, got {keys.shape}")
+        # np.unique stays here until the benchmark keeps no per-round outputs (ROADMAP "Do first")
         self.cols = [np.unique(col) for col in keys.T]  # distinct values per column
         self.code = np.unique(_codes(self.cols, keys))
         _check_node_count(len(self.code))
@@ -354,12 +372,12 @@ class _Graph:
         miss = ~known | (self.code[ids] != code)
         if miss.any():
             keys = keys[miss]
-            if not all(np.isin(col, vals).all() for col, vals in zip(keys.T, self.cols)):
+            if not all(_sorted_isin(col, vals).all() for col, vals in zip(keys.T, self.cols)):
                 old = _decode(self.cols, self.code)
-                self.cols = [np.union1d(vals, col) for col, vals in zip(keys.T, self.cols)]
+                self.cols = [_sorted_unique(np.concatenate((vals, col))) for col, vals in zip(keys.T, self.cols)]
                 self._reorder(_codes(self.cols, old))
             code = _codes(self.cols, keys)
-            fresh = np.unique(code)
+            fresh = _sorted_unique(code)
             _check_node_count(self.n + len(fresh))
             ids[miss] = self.n + np.searchsorted(fresh, code)
             self.succ = [np.concatenate((t, np.full(len(fresh), -1, np.int32))) for t in self.succ]
@@ -499,9 +517,8 @@ def _nearest(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
     b = cloud.points
     if cloud.dim == 1:
         b, points = (np.column_stack((p[:, 0], np.zeros(len(p)))) for p in (b, points))
-    cx, col = np.unique(b[:, 0], return_inverse=True)
-    cy = np.unique(b[:, 1])
-    code = col * len(cy) + np.searchsorted(cy, b[:, 1])
+    cx, cy = _sorted_unique(b[:, 0]), _sorted_unique(b[:, 1])
+    code = np.searchsorted(cx, b[:, 0]) * len(cy) + np.searchsorted(cy, b[:, 1])
     start = np.searchsorted(code, np.arange(len(cx) + 1) * len(cy))  # column c is rows start[c]:start[c + 1]
     home, ry = np.searchsorted(cx, points[:, 0]), np.searchsorted(cy, points[:, 1])
     # a column at +inf, which c = -1 reads too, ends every walk; by gets a spare row for i = len(b)

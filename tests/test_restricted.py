@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -280,6 +281,69 @@ def test_enumerate_slices_builds_one_union_per_start_vertex_set_on_random_presen
     for pres in _random_presentations(np.random.default_rng(42)):
         family = vertex_limits(three_point, pres, delta=0.0)
         _check_one_union_per_start_vertex_set(monkeypatch, three_point, pres, family, period_bound=5)
+
+
+def _reference_slice_loop(pres, family, period_bound):
+    """The strategy loop before normal forms: every (preperiod, period) pair,
+    normalized by UPString and skipped by its text when seen before, with
+    start_vertices per strategy."""
+    k_lambda = family.union()
+    slices, reps, seen, slice_of = [], {}, set(), {}
+    for pre_len in range(period_bound):
+        for per_len in range(1, period_bound - pre_len + 1):
+            for pre in enumerate_words(pres.n_symbols, pre_len):
+                for per in enumerate_words(pres.n_symbols, per_len):
+                    u = UPString(pre.letters, per.letters)
+                    key = str(u)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    starts = start_vertices(pres, u)
+                    if not starts:
+                        continue
+                    if starts not in slice_of:
+                        cloud = PointCloud.union([family.clouds[v] for v in sorted(starts)])
+                        i = next((i for i, s in enumerate(slices) if s == cloud), len(slices))
+                        if i == len(slices):
+                            slices.append(k_lambda if cloud.n == k_lambda.n else cloud)
+                        slice_of[starts] = i
+                    reps[key] = slice_of[starts]
+    return slices, reps
+
+
+@st.composite
+def _essential_presentations(draw):
+    """A presentation over 2 or 3 symbols whose 2 to 4 vertices each have an
+    outgoing edge, so that pruning keeps them all, and a period bound."""
+    n_symbols = draw(st.integers(2, 3))
+    vertices = [f"v{i}" for i in range(draw(st.integers(2, 4)))]
+    edge = st.tuples(st.sampled_from(vertices), st.integers(0, n_symbols - 1), st.sampled_from(vertices))
+    edges = [(v, draw(st.integers(0, n_symbols - 1)), draw(st.sampled_from(vertices))) for v in vertices]
+    pres = SoficPresentation.make(n_symbols, edges + draw(st.lists(edge, max_size=3 * len(vertices))))
+    assert len(pres.vertices) == len(vertices)
+    return pres, draw(st.integers(1, 6 if n_symbols == 2 else 4))
+
+
+def _with_a_third_map(model):
+    """model with a third map S0 o S1, for presentations over three symbols."""
+    s0, s1 = model.maps
+    t0, t1 = model.scalar_maps
+    return dataclasses.replace(model, maps=(s0, s1, lambda x: s0(s1(x))), scalar_maps=(t0, t1, lambda p: t0(t1(p))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_essential_presentations())
+def test_enumerate_slices_equals_the_loop_over_every_pair(case):
+    # the normal-form loop lists the same representatives, in the same
+    # order, with the same slices, as the loop over every pair
+    pres, period_bound = case
+    model = models.three_point_model()
+    model = model if pres.n_symbols == 2 else _with_a_third_map(model)
+    family = vertex_limits(model, pres, delta=0.0)
+    report = enumerate_slices(model, pres, family, period_bound=period_bound)
+    slices, reps = _reference_slice_loop(pres, family, period_bound)
+    assert list(report.representatives.items()) == list(reps.items())
+    assert report.slices == tuple(slices)
 
 
 @pytest.mark.parametrize("subshift", ["golden_mean", "even_shift", "golden_even"])

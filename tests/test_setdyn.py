@@ -184,21 +184,64 @@ def test_a_cloud_holds_int32_keys_where_they_fit():
 def test_a_cloud_holds_int16_or_int32_keys_where_they_fit():
     # the narrowest signed type that holds every key; the points are the
     # float64 products key * delta, whatever the keys' width
-    rows = np.array([[0.25, -0.5], [1.0, 2.0]])
+    rows = np.array([[0.25, -0.5], [1.0, 32.0]])
     cloud = PointCloud(rows[::-1], 0.25)
-    assert cloud._rows.dtype == np.int16 and cloud._rows.tolist() == [[1, -2], [4, 8]]
+    assert cloud._rows.dtype == np.int16 and cloud._rows.tolist() == [[1, -2], [4, 128]]
     assert cloud.points.dtype == np.float64 and np.array_equal(cloud.points, rows)
     _assert_key_widths({np.int16: (32767, -32768), np.int32: (32768, -32769)})
     # set algebra between an int16 and an int32 cloud compares key values
     wide = PointCloud(np.array([[1, 40000], [2, 3], [-5, 0]]) * 0.1, 0.1)
-    narrow = PointCloud(np.array([[2, 3], [5, 5]]) * 0.1, 0.1)
+    narrow = PointCloud(np.array([[2, 3], [5, 128]]) * 0.1, 0.1)
     assert (wide._rows.dtype, narrow._rows.dtype) == (np.int32, np.int16)
     assert wide != narrow and wide == PointCloud(wide.points, 0.1)
-    assert PointCloud.union([wide, narrow])._rows.tolist() == [[-5, 0], [1, 40000], [2, 3], [5, 5]]
+    assert PointCloud.union([wide, narrow])._rows.tolist() == [[-5, 0], [1, 40000], [2, 3], [5, 128]]
     assert wide.difference(narrow)._rows.tolist() == [[-5, 0], [1, 40000]]
-    assert narrow.difference(wide) == PointCloud([[0.5, 0.5]], 0.1)
+    assert narrow.difference(wide) == PointCloud([[0.5, 12.8]], 0.1)
     assert wide.intersection(narrow) == narrow.intersection(wide) == PointCloud([[0.2, 0.3]], 0.1)
-    assert wide.intersection(narrow)._rows.dtype == np.int16
+    assert wide.intersection(narrow)._rows.dtype == np.int8
+
+
+def test_a_cloud_holds_int8_keys_where_they_fit():
+    # keys in [-128, 127] take one byte each; the points are still the
+    # float64 products key * delta
+    _assert_key_widths({np.int8: (127, -128), np.int16: (128, -129)})
+    rows = np.array([[0.25, -0.5], [1.0, 2.0]])
+    cloud = PointCloud(rows[::-1], 0.25)
+    assert cloud._rows.dtype == np.int8 and cloud._rows.tolist() == [[1, -2], [4, 8]]
+    assert cloud.points.dtype == np.float64 and np.array_equal(cloud.points, rows)
+    # set algebra between an int8 and an int16 cloud compares key values
+    wide = PointCloud(np.array([[1, 300], [2, 3], [-5, 0]]) * 0.1, 0.1)
+    narrow = PointCloud(np.array([[2, 3], [5, -128]]) * 0.1, 0.1)
+    assert (wide._rows.dtype, narrow._rows.dtype) == (np.int16, np.int8)
+    assert wide != narrow and narrow == PointCloud(narrow.points, 0.1)
+    assert PointCloud.union([wide, narrow])._rows.tolist() == [[-5, 0], [1, 300], [2, 3], [5, -128]]
+    assert wide.difference(narrow)._rows.tolist() == [[-5, 0], [1, 300]]
+    assert narrow.difference(wide) == PointCloud([[0.5, -12.8]], 0.1)
+    assert wide.intersection(narrow) == narrow.intersection(wide) == PointCloud([[0.2, 0.3]], 0.1)
+    assert wide.intersection(narrow)._rows.dtype == np.int8
+
+
+def _set_primitive_inputs():
+    """(dtype, array) pairs: empty, one element, all equal, and random values
+    of both signs with repeats, in every key dtype and float64."""
+    rng = np.random.default_rng(3)
+    for dtype in (np.int8, np.int16, np.int64, np.float64):
+        yield dtype, np.array([], dtype)
+        yield dtype, np.array([-7], dtype)
+        yield dtype, np.full(9, -3, dtype)
+        yield dtype, rng.integers(-100, 100, size=200).astype(dtype)
+    yield np.int64, rng.integers(-(2**62), 2**62, size=100)
+    yield np.float64, rng.normal(size=50).round(1)
+
+
+@pytest.mark.parametrize("dtype,values", list(_set_primitive_inputs()))
+def test_sorted_set_primitives_equal_unique_and_isin(dtype, values):
+    unique = setdyn._sorted_unique(values)
+    assert unique.dtype == dtype and np.array_equal(unique, np.unique(values))
+    probes = np.concatenate((values, (values[::2] + 1).astype(dtype), np.array([0, 5], dtype)))
+    for b in (values, values[::3], values[:1], values[:0]):
+        assert np.array_equal(setdyn._sorted_isin(probes, np.sort(b)), np.isin(probes, b))
+        assert np.array_equal(setdyn._sorted_isin(probes, setdyn._sorted_unique(b)), np.isin(probes, b))
 
 
 def _random_cloud(rng, n, dim, delta, span, apart=0.0):
