@@ -104,7 +104,7 @@ def _decode(cols, codes: np.ndarray) -> np.ndarray:
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a, ascending: np.unique by a sort and a neighbour mask."""
+    """The distinct values of a, ascending, by a sort and a neighbour mask."""
     a = np.sort(a)
     keep = np.ones(len(a), bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])
@@ -112,7 +112,7 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 
 
 def _sorted_isin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.isin(a, b) for an ascending b, by a binary search."""
+    """Boolean mask: which values of a occur in b, an ascending array, by a binary search."""
     i = np.searchsorted(b, a)
     found = i < len(b)
     found[found] = b[i[found]] == a[found]
