@@ -78,20 +78,25 @@ def fixed_points(p: MalariaParams):
 
 
 def _malaria_maps(p: MalariaParams):
+    """(vectorised, scalar) step map of one parameter set, both from one formula."""
     a, b, r, m, dt = p.a, p.b, p.r, p.m, p.dt
 
-    def vec(pts):
-        x = pts[:, 0]
-        y = pts[:, 1]
-        return np.column_stack(
-            (x + dt * (a * y * (1.0 - x) - r * x), y + dt * (b * x * (1.0 - y) - m * y))
-        )
-
-    def scalar(pt):
+    def step(pt):
         x, y = pt
         return (x + dt * (a * y * (1.0 - x) - r * x), y + dt * (b * x * (1.0 - y) - m * y))
 
-    return vec, scalar
+    return (lambda pts: np.column_stack(step(pts.T))), step
+
+
+def _by_rows(fn, dim: int):
+    """A one-point map on each row of an (n, dim) array, a row read as the chaos game
+    passes a point: a float when dim is 1, else a tuple.  For models with small grids."""
+
+    def vec(pts):
+        rows = pts[:, 0].tolist() if dim == 1 else map(tuple, pts.tolist())
+        return np.array([fn(pt) for pt in rows], dtype=float).reshape(len(pts), dim)
+
+    return vec
 
 
 def _grid_seeder(lower, upper):
@@ -143,14 +148,6 @@ def line_counterexample(radius: float = LINE_RADIUS) -> ModelSpec:
     the monitored interval so that one map application stays inside it.
     """
 
-    def v0(pts):
-        x = pts[:, 0]
-        return np.where(x <= 0.0, 0.0, -2.0 * x)[:, None]
-
-    def v1(pts):
-        x = pts[:, 0]
-        return np.where(x <= 0.0, -2.0 * x, 0.0)[:, None]
-
     def s0(x):
         return 0.0 if x <= 0.0 else -2.0 * x
 
@@ -163,7 +160,7 @@ def line_counterexample(radius: float = LINE_RADIUS) -> ModelSpec:
     return ModelSpec(
         name="line",
         dim=1,
-        maps=(v0, v1),
+        maps=(_by_rows(s0, 1), _by_rows(s1, 1)),
         scalar_maps=(s0, s1),
         lower=(-radius,),
         upper=(radius,),
@@ -177,18 +174,12 @@ def line_counterexample(radius: float = LINE_RADIUS) -> ModelSpec:
 
 def cantor_model() -> ModelSpec:
     """S0(x) = x/3, S1(x) = x/3 + 2/3 on [0, 1] (strict contractions)."""
-
-    def v0(pts):
-        return pts / 3.0
-
-    def v1(pts):
-        return pts / 3.0 + 2.0 / 3.0
-
+    maps = (lambda x: x / 3.0, lambda x: x / 3.0 + 2.0 / 3.0)  # on floats and on arrays alike
     return ModelSpec(
         name="cantor",
         dim=1,
-        maps=(v0, v1),
-        scalar_maps=(lambda x: x / 3.0, lambda x: x / 3.0 + 2.0 / 3.0),
+        maps=maps,
+        scalar_maps=maps,
         lower=(0.0,),
         upper=(1.0,),
         seeder=_grid_seeder((0.0,), (1.0,)),
@@ -262,24 +253,15 @@ def gestalt_model(depth: int = 12) -> ModelSpec:
         raise ValueError(f"depth must be at least 6 and at most 20, an int; got {depth!r}")
     L = depth
 
-    def prepend(pts, look_bit):
-        codes = np.rint(pts[:, 0]).astype(np.int64)
-        b = (codes >> look_bit) & 1
-        return ((b << (L - 1)) | (codes >> 1)).astype(float)[:, None]
+    def prepend(code, bit):
+        """Bit ``bit`` moved to the front, the last one dropped: of an int or an int64 array."""
+        return (((code >> bit) & 1) << (L - 1)) | (code >> 1)
 
-    def v0(pts):
-        return prepend(pts, L - 3)
+    def pair(bit):
+        return (lambda pts: prepend(np.rint(pts[:, 0]).astype(np.int64), bit).astype(float)[:, None],
+                lambda x: float(prepend(int(x), bit)))
 
-    def v1(pts):
-        return prepend(pts, L - 2)
-
-    def s0(x):
-        c = int(x)
-        return float((((c >> (L - 3)) & 1) << (L - 1)) | (c >> 1))
-
-    def s1(x):
-        c = int(x)
-        return float((((c >> (L - 2)) & 1) << (L - 1)) | (c >> 1))
+    (v0, s0), (v1, s1) = pair(L - 3), pair(L - 2)
 
     def seed(delta):
         return np.arange(2**L, dtype=float)[:, None]
@@ -326,24 +308,16 @@ def three_point_model() -> ModelSpec:
     coords = np.array([THREE_POINTS[n] for n in names])
 
     def table_map(table):
-        dst = np.array([THREE_POINTS[table[n]] for n in names])
+        moves = {THREE_POINTS[n]: THREE_POINTS[table[n]] for n in names}
 
-        def vec(pts):
-            match = np.all(np.abs(pts[:, None, :] - coords[None, :, :]) < 1e-9, axis=2)
-            if not match.any(axis=1).all():
+        def step(pt):
+            if tuple(pt) not in moves:
                 raise ValueError("point is not one of the three model states")
-            return dst[np.argmax(match, axis=1)]
+            return moves[tuple(pt)]
 
-        def scalar(pt):
-            for n in names:
-                if tuple(THREE_POINTS[n]) == tuple(pt):
-                    return THREE_POINTS[table[n]]
-            raise ValueError("point is not one of the three model states")
+        return step
 
-        return vec, scalar
-
-    v0, s0 = table_map(_S0_TABLE)
-    v1, s1 = table_map(_S1_TABLE)
+    s0, s1 = table_map(_S0_TABLE), table_map(_S1_TABLE)
 
     def seed(delta):
         return coords.copy()
@@ -351,7 +325,7 @@ def three_point_model() -> ModelSpec:
     return ModelSpec(
         name="three_point",
         dim=2,
-        maps=(v0, v1),
+        maps=(_by_rows(s0, 2), _by_rows(s1, 2)),
         scalar_maps=(s0, s1),
         lower=(0.0, 0.0),
         upper=(1.0, 1.0),

@@ -127,8 +127,10 @@ def enumerate_slices(
     per set, for its first strategy, and deduplicated against the slices
     found so far by set equality (distinct start-vertex sets may still give
     equal slices).  Also emits K_Lambda as the union of all vertex clouds and
-    the decomposition sets A_j.
+    the decomposition sets A_j.  ``pres`` must equal the family's presentation.
     """
+    if pres != family.presentation:
+        raise ValueError("the family was computed over another presentation")
     if period_bound < 1:
         raise ValueError("period_bound must be at least 1")
     n = pres.n_symbols

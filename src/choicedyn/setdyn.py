@@ -221,8 +221,11 @@ class PointCloud:
         return PointCloud._canonical(self._rows[self._keys_in(other)], self.delta)
 
     def contains_points(self, pts) -> np.ndarray:
-        """Per-row membership of the snapped probe points in this cloud."""
-        return _rows_isin(_snap(_as_point_array(pts, self.dim), self.delta), self._rows)
+        """Per-row membership of the snapped probe points, of this cloud's dimension, in this cloud."""
+        pts = _as_point_array(pts, self.dim)
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"probe points of dimension {pts.shape[1]} for a cloud of dimension {self.dim}")
+        return _rows_isin(_snap(pts, self.delta), self._rows)
 
     @staticmethod
     def union(clouds) -> "PointCloud":
@@ -247,7 +250,12 @@ class PointCloud:
         if not lines or not lines[0].startswith("x0"):
             raise ValueError("expected a header row like x0,x1")
         dim = len(lines[0].split(","))
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        rows = []
+        for ln in lines[1:]:
+            vals = ln.split(",")
+            if len(vals) != dim:
+                raise ValueError(f"row {ln!r} holds {len(vals)} values, the header {dim}")
+            rows.append([float(v) for v in vals])
         arr = np.array(rows, dtype=float).reshape(-1, dim)
         return PointCloud(arr, delta)
 
@@ -256,13 +264,15 @@ class PointCloud:
 class ModelSpec:
     """A state space with N continuous maps and a bounding region.
 
-    ``maps`` act on (n, dim) arrays; ``scalar_maps`` act on point tuples
-    (used by the chaos-game loop).  ``seeder(delta)`` produces the raw seed
-    points that stand in for the bounding region; ``seed_absorbing`` asserts
-    that the seed cloud contains every snapped image of itself, which makes
-    attractor iteration monotonically decreasing.  ``dsigma_bits`` > 0 reads
-    points as binary codes of that many letters and measures distances in
-    the code-space metric ``symbolic.d_sigma``; 0 keeps the Euclidean one.
+    ``maps`` act on (n, dim) arrays; ``scalar_maps`` act on one point, a
+    float when dim is 1 and a tuple otherwise (used by the chaos-game loop);
+    the bundled models write each map once and derive both forms from it.
+    ``seeder(delta)`` produces the raw seed points that stand in for the
+    bounding region; ``seed_absorbing`` asserts that the seed cloud contains
+    every snapped image of itself, which makes attractor iteration
+    monotonically decreasing.  ``dsigma_bits`` > 0 reads points as binary
+    codes of that many letters and measures distances in the code-space
+    metric ``symbolic.d_sigma``; 0 keeps the Euclidean one.
     """
 
     name: str

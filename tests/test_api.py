@@ -1,6 +1,7 @@
 """The public surface: ``choicedyn.__all__``, and the names that the benchmark
 under perfbench/ reads from the package, which a removal must not take away."""
 
+import dataclasses
 import inspect
 
 import choicedyn
@@ -28,3 +29,9 @@ def test_names_the_benchmark_reads():
     pres, tables = sofic.builtin("golden_even"), (models._S0_TABLE, models._S1_TABLE)
     u = symbolic.parse_strategy("(001)")
     assert verify.product_graph_slice_oracle(pres, tables, u) == frozenset("ABC")
+    # perfbench reads these of a model, and traces its vectorised maps in a copy
+    model = models.build_model("three_point")
+    assert {"maps", "scalar_maps", "seeder", "dim"} <= {f.name for f in dataclasses.fields(setdyn.ModelSpec)}
+    assert model.n_maps == len(model.scalar_maps) == 2 and model.seeder(0.0).shape == (3, model.dim)
+    traced = dataclasses.replace(model, maps=tuple(reversed(model.maps)))
+    assert traced.n_maps == 2 and traced.maps[0] is model.maps[1] and traced.scalar_maps == model.scalar_maps

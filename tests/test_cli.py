@@ -567,6 +567,14 @@ def test_render_empty_csv_exits_2(tmp_path, capsys):
     assert not (tmp_path / "empty.svg").exists()
 
 
+def test_render_csv_with_a_row_of_another_width_exits_2(tmp_path, capsys):
+    csv = tmp_path / "wide.csv"
+    csv.write_text("x0,x1\n1,2,3,4\n")
+    assert run_cli("render", str(csv), "--out", str(tmp_path)) == 2
+    assert "row '1,2,3,4' holds 4 values, the header 2" in capsys.readouterr().err
+    assert not (tmp_path / "wide.svg").exists()
+
+
 def test_malformed_subshift_file_exits_2(tmp_path, capsys):
     graph = tmp_path / "graph.txt"
     graph.write_text("q 0 q\nq x q\n")

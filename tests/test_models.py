@@ -146,6 +146,16 @@ def test_three_point_stated_values():
             assert out == models.THREE_POINTS[target]
 
 
+def test_three_point_maps_take_only_exact_states():
+    # the vectorised maps matched a state within 1e-9, the scalar ones exactly
+    model = models.three_point_model()
+    off = (0.5 + 1e-12, 1.0)
+    for j in range(model.n_maps):
+        for fn, arg in ((model.maps[j], np.array([(0.0, 0.0), off])), (model.scalar_maps[j], off)):
+            with pytest.raises(ValueError, match="point is not one of the three model states"):
+                fn(arg)
+
+
 def test_registry_and_config():
     model = models.build_model("malaria", {"dt": 0.05})
     assert model.n_maps == 2

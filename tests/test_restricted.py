@@ -139,6 +139,19 @@ def test_enumerate_slices_checks_its_word_cap_before_enumerating(three_point, go
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_enumerate_slices_needs_the_family_presentation(three_point, golden_even_family):
+    # start sets of another presentation named the wrong clouds, or none (KeyError 'g0')
+    pres, family = golden_even_family
+    other = SoficPresentation.make(2, [("A", 0, "B"), ("B", 0, "C"), ("C", 0, "A"), ("C", 1, "A"), ("A", 1, "A")])
+    for wrong in (other, builtin("golden_mean")):
+        with pytest.raises(ValueError, match="the family was computed over another presentation"):
+            enumerate_slices(three_point, wrong, family, period_bound=6)
+    equal = SoficPresentation.make(2, pres.edges)
+    assert equal is not pres
+    assert enumerate_slices(three_point, equal, family, 6).representatives == \
+        enumerate_slices(three_point, pres, family, 6).representatives
+
+
 def test_enumerate_slices_full_shift(three_point):
     pres = builtin("full_shift", 2)
     family = vertex_limits(three_point, pres, delta=0.0)

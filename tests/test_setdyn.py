@@ -103,6 +103,16 @@ def test_set_algebra_needs_one_grid():
                 op(other)
 
 
+def test_contains_points_needs_the_cloud_dimension():
+    # the probe's columns were zipped with the cloud's, so extra or missing ones went unseen
+    line, plane = PointCloud([[0.5]], 0.1), PointCloud([[0.5, 0.5]], 0.1)
+    for cloud, probe in ((line, [[0.5, 7.0]]), (plane, [[0.5]])):
+        with pytest.raises(ValueError, match=f"probe points of dimension {len(probe[0])} for a cloud of dimension"):
+            cloud.contains_points(probe)
+    assert line.contains_points([0.5, 0.7]).tolist() == [True, False]
+    assert plane.contains_points([0.5, 0.5]).tolist() == [True]
+
+
 def _same_cloud(got, want):
     return got == want and got._rows.dtype == want._rows.dtype
 
@@ -594,6 +604,13 @@ def test_csv_round_trip(cantor_K):
     again = PointCloud.from_csv(text, cantor_K.cloud.delta)
     assert again == cantor_K.cloud
     assert again.to_csv() == text
+
+
+def test_from_csv_rejects_a_row_of_another_width():
+    # four values under a two-column header were reshaped into two points
+    for text, row, n in (("x0,x1\n1,2,3,4\n", "1,2,3,4", 4), ("x0,x1\n1,2\n3\n", "3", 1)):
+        with pytest.raises(ValueError, match=f"row '{row}' holds {n} values, the header 2"):
+            PointCloud.from_csv(text)
 
 
 def test_delta_invariance_constant(cantor):
