@@ -234,7 +234,12 @@ def cmd_chaos(cfg: RunConfig, args) -> int:
     model, delta = _model_from(cfg)
     probs = cfg.probs if cfg.probs is not None else [1.0 / model.n_maps] * model.n_maps
     burnin = cfg.burnin if cfg.burnin is not None else min(1000, cfg.steps // 10)
-    x0 = cfg.x0 if cfg.x0 is not None else [(lo + hi) / 2.0 for lo, hi in zip(model.lower, model.upper)]
+    if cfg.x0 is not None:
+        x0 = cfg.x0
+    elif model.discrete:  # the box centre need not be a state
+        x0 = model.seeder(delta)[0]
+    else:
+        x0 = [(lo + hi) / 2.0 for lo, hi in zip(model.lower, model.upper)]
     cloud, mean = chaos_game(model, probs=probs, x0=x0, steps=cfg.steps, burnin=burnin,
                              rng_seed=cfg.seed, delta=delta)
     _write_cloud(cfg.out, "chaos", cloud, model)

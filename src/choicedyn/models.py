@@ -257,9 +257,9 @@ def gestalt_model(depth: int = 12) -> ModelSpec:
         """Bit ``bit`` moved to the front, the last one dropped: of an int or an int64 array."""
         return (((code >> bit) & 1) << (L - 1)) | (code >> 1)
 
-    def pair(bit):
+    def pair(bit):  # a code that is no integer is rounded half to even by both forms
         return (lambda pts: prepend(np.rint(pts[:, 0]).astype(np.int64), bit).astype(float)[:, None],
-                lambda x: float(prepend(int(x), bit)))
+                lambda x: float(prepend(round(x), bit)))
 
     (v0, s0), (v1, s1) = pair(L - 3), pair(L - 2)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,8 +25,7 @@ import numpy as np
 from .setdyn import (
     ModelSpec, PointCloud, _check_maxiter, _check_symbols, _Graph, _nearest, _sweep, hausdorff,
 )
-from .sofic import SoficPresentation, _walk, start_vertices
-from .symbolic import UPString
+from .sofic import SoficPresentation, _period_start, _walk
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,18 +116,23 @@ def enumerate_slices(
     family: VertexFamily,
     period_bound: int,
 ) -> SliceReport:
-    """Slices of every UPString with |preperiod| + |period| <= period_bound.
+    """Slices of every UPString in the subshift with |preperiod| + |period| <= period_bound.
 
-    The loop visits only normal forms: a primitive period and a preperiod
-    that is empty or ends in a letter other than the period's last; every
-    other pair normalizes to a shorter one, visited earlier.  Each period's
-    start-vertex set comes from ``start_vertices``, and a.pre's from pre's,
-    pulled back one letter; strings outside the subshift are skipped.  A
-    slice depends only on its start-vertex set, so the union is built once
-    per set, for its first strategy, and deduplicated against the slices
-    found so far by set equality (distinct start-vertex sets may still give
-    equal slices).  Also emits K_Lambda as the union of all vertex clouds and
-    the decomposition sets A_j.  ``pres`` must equal the family's presentation.
+    Strategies are built level by level, one level per preperiod length,
+    and only in normal form: a primitive period and a preperiod that is
+    empty or ends in a letter other than the period's last; every other
+    pair normalizes to a shorter one.  Level 0 holds the primitive periods
+    with a nonempty start-vertex set.  Level k + 1 prepends one letter to
+    the preperiods of level k, pulling each start set back by that letter,
+    and keeps the strategies whose set stays nonempty, so no strategy
+    outside the subshift is extended.  Each level is visited by (|period|,
+    preperiod, period).  A slice depends only on its start-vertex set, so
+    the union is built once per set, for its first strategy, and
+    deduplicated against the slices found so far by set equality (distinct
+    start-vertex sets may still give equal slices).  Strategy names are
+    interned, so reports over one alphabet share them.  Also emits K_Lambda
+    as the union of all vertex clouds and the decomposition sets A_j.
+    ``pres`` must equal the family's presentation.
     """
     if pres != family.presentation:
         raise ValueError("the family was computed over another presentation")
@@ -140,29 +145,25 @@ def enumerate_slices(
     slices = []
     reps = {}
     slice_of = {}  # start-vertex set -> index of its slice
-    starts_of = {}  # (preperiod, period) of the last preperiod length -> its nonempty start set
-    for pre_len in range(0, period_bound):
-        prev, starts_of = starts_of, {}
-        for per_len in range(1, period_bound - pre_len + 1):
-            pers = [(per, "".join(map(str, per))) for per in product(range(n), repeat=per_len)
-                    if all(per != per[:d] * (per_len // d) for d in range(1, per_len) if per_len % d == 0)]
-            for pre in product(range(n), repeat=pre_len):
-                text = "".join(map(str, pre))
-                for per, per_text in pers:
-                    if pre and pre[-1] == per[-1]:
-                        continue  # not a normal form
-                    starts = (_walk(pres._back, prev.get((pre[1:], per), frozenset()), pre[:1]) if pre
-                              else start_vertices(pres, UPString((), per)))
-                    if not starts:
-                        continue
-                    starts_of[pre, per] = starts
-                    if starts not in slice_of:
-                        cloud = PointCloud.union([family.clouds[v] for v in sorted(starts)])
-                        i = next((i for i, s in enumerate(slices) if s == cloud), len(slices))
-                        if i == len(slices):
-                            slices.append(k_lambda if cloud.n == k_lambda.n else cloud)  # a slice lies in K_Lambda
-                        slice_of[starts] = i
-                    reps[f"{text}({per_text})"] = slice_of[starts]
+    # (|period|, preperiod, period, nonempty start set) of the strategies of one preperiod length
+    level = [(per_len, (), per, starts) for per_len in range(1, period_bound + 1)
+             for per in product(range(n), repeat=per_len)
+             if all(per != per[:d] * (per_len // d) for d in range(1, per_len) if per_len % d == 0)
+             and (starts := _period_start(pres, per))]
+    for pre_len in range(period_bound):
+        if pre_len:
+            level = sorted((per_len, (a, *pre), per, pulled) for per_len, pre, per, starts in level
+                           if per_len + pre_len <= period_bound
+                           for a in range(n) if pre or a != per[-1]
+                           if (pulled := _walk(pres._back, starts, (a,))))
+        for _, pre, per, starts in level:
+            if starts not in slice_of:
+                cloud = PointCloud.union([family.clouds[v] for v in sorted(starts)])
+                i = next((i for i, s in enumerate(slices) if s == cloud), len(slices))
+                if i == len(slices):
+                    slices.append(k_lambda if cloud.n == k_lambda.n else cloud)  # a slice lies in K_Lambda
+                slice_of[starts] = i
+            reps[sys.intern(f"{''.join(map(str, pre))}({''.join(map(str, per))})")] = slice_of[starts]
     a_sets = _decomposition_sets(model, k_lambda, k_lambda.delta)
     return SliceReport(
         delta=k_lambda.delta,

@@ -232,6 +232,8 @@ class PointCloud:
         clouds = list(clouds)
         if not clouds:
             raise ValueError("union of no clouds")
+        if all(c is clouds[0] for c in clouds):
+            return clouds[0]
         _check_grid(clouds)
         out = PointCloud._canonical(_unique_rows(np.concatenate([c._rows for c in clouds])), clouds[0].delta)
         # every input is a subset of the union, so an input of its size is the union
@@ -299,9 +301,9 @@ class ModelSpec:
         slack = 10.0 * delta
         lo = np.asarray(self.lower, dtype=float) - slack
         hi = np.asarray(self.upper, dtype=float) + slack
-        bad = np.any(pts < lo, axis=1) | np.any(pts > hi, axis=1)
+        bad = (pts < lo) | (pts > hi)  # one elementwise pass; the row is looked for only after an escape
         if bad.any():
-            i = int(np.argmax(bad))
+            i = int(np.argmax(bad.any(axis=1)))
             value = tuple(float(v) for v in pts[i])
             excess = float(
                 max(np.max(np.asarray(value) - hi, initial=0.0), np.max(lo - np.asarray(value), initial=0.0))
@@ -399,7 +401,9 @@ class _Graph:
         self.order = np.argsort(code, kind="stable")
 
     def fit(self, mask: np.ndarray) -> np.ndarray:
-        """The mask padded with False to the current node count."""
+        """The mask padded with False to the current node count; the mask itself when it has that length."""
+        if len(mask) == self.n:
+            return mask
         return np.concatenate((mask, np.zeros(self.n - len(mask), bool)))
 
     def image(self, pairs, step: int = 0) -> np.ndarray:

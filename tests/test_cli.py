@@ -389,6 +389,18 @@ def test_chaos_scatter_inside_K(tmp_path, capsys):
     assert directed_distance(cloud, K) <= 3 * 0.02
 
 
+@pytest.mark.parametrize("model,first", [("three_point", [0.0, 0.0]), ("gestalt", [0.0])])
+def test_chaos_on_a_discrete_model_starts_at_its_first_seed_state(tmp_path, model, first):
+    # the box centre is no state: (0.5, 0.5) for three_point, 2047.5 for gestalt
+    outs = []
+    for name, extra in (("default", {}), ("given", {"x0": first})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"model": model, "delta": 0.0, "steps": 2000, "burnin": 0, **extra}))
+        assert run_cli("chaos", "--config", str(cfg), "--out", str(tmp_path / name)) == 0
+        outs.append((tmp_path / name / "chaos.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_chaos_bad_probs_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "cantor", "delta": 0.001, "probs": [0.7, 0.7]}))

@@ -108,6 +108,15 @@ def test_gestalt_maps_read_three_letters():
             assert wa.letters == (wa.letters[0],) + (head + tail1)[: L - 1]
 
 
+def test_gestalt_map_forms_round_a_code_alike():
+    # a code between two integers is rounded half to even by both forms
+    model = models.gestalt_model()
+    codes = [0.0, 1.0, 2046.5, 2047.0, 2047.5, 2048.5, 4095.0]
+    for vec, scalar in zip(model.maps, model.scalar_maps):
+        assert vec(np.array(codes)[:, None])[:, 0].tolist() == [scalar(x) for x in codes]
+        assert scalar(2047.5) == scalar(2048.0) and scalar(2046.5) == scalar(2046.0)
+
+
 def test_gestalt_zero_block_then_one_builds_prefix():
     # applying 3k zeros then a single 1 to a state starting 001 yields 0001001...
     model = models.gestalt_model()

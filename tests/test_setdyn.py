@@ -81,6 +81,7 @@ def test_union_returns_an_input_that_is_the_union(delta):
     assert PointCloud.union([whole]) is whole
     assert PointCloud.union([part, whole]) is whole
     assert PointCloud.union([whole, part]) is whole
+    assert PointCloud.union([part, part]) is part
 
 
 def test_cloud_set_semantics():
@@ -404,6 +405,16 @@ def test_an_escape_from_K_reports_its_step():
     with pytest.raises(AssumptionViolation) as from_A_w:
         individual_attractor(line, UPString("", "01"), 0.5, seed=seed)
     assert from_K.value.step == from_A_w.value.step == 20
+
+
+def test_an_escape_reports_the_first_row_that_leaves_the_box():
+    # row 2 leaves through its second coordinate, row 3 through its first
+    model = models.malaria_model()
+    pts = np.array([[0.5, 0.5], [1.1, -0.1], [0.4, 1.5], [2.0, 0.1]])
+    with pytest.raises(AssumptionViolation) as escape:
+        model.escape_check(pts, 0.01, step=7)
+    assert (escape.value.step, escape.value.value, escape.value.excess) == (7, (0.4, 1.5), 1.5 - (1.0 + 10 * 0.01))
+    model.escape_check(pts[:2], 0.01)  # (1.1, -0.1) lies on the edge of the 10 * delta slack
 
 
 def test_compute_K_rejects_a_seed_flagged_absorbing_that_grows():

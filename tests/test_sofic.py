@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from choicedyn.sofic import SoficPresentation, builtin, language, start_vertices
+from choicedyn.sofic import SoficPresentation, _period_start, _walk, builtin, language, start_vertices
 from choicedyn.symbolic import UPString
 
 
@@ -79,6 +79,24 @@ def test_start_vertices_examples():
     assert start_vertices(ge, UPString("", "010")) == frozenset({"B"})
     assert start_vertices(builtin("full_shift", 2), UPString("01", "10")) == frozenset({"q"})
     assert start_vertices(builtin("golden_mean"), UPString("", "1")) == frozenset()
+
+
+def test_period_start_is_the_start_set_of_the_periodic_string():
+    # the backward fixed point is also the set of vertices that read the
+    # period |V| times forward: the sets that read it k times shrink until they stop
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(60):
+        n_symbols, vertices = int(rng.integers(2, 4)), [f"v{i}" for i in range(int(rng.integers(1, 5)))]
+        edges = [(vertices[rng.integers(len(vertices))], int(rng.integers(n_symbols)), vertices[rng.integers(len(vertices))])
+                 for _ in range(int(rng.integers(1, 4 * len(vertices))))]
+        pres = SoficPresentation.make(n_symbols, edges)
+        for _ in range(5):
+            per = tuple(int(a) for a in rng.integers(0, n_symbols, size=rng.integers(1, 6)))
+            forward = {v for v in pres.vertices if _walk(pres._step, frozenset({v}), per * len(pres.vertices))}
+            assert _period_start(pres, per) == start_vertices(pres, UPString((), per)) == forward, (edges, per)
+            checked += bool(forward)
+    assert checked > 20
 
 
 def test_start_vertices_shift_compatibility():
