@@ -88,8 +88,9 @@ def test_period_start_is_the_start_set_of_the_periodic_string():
     checked = 0
     for _ in range(60):
         n_symbols, vertices = int(rng.integers(2, 4)), [f"v{i}" for i in range(int(rng.integers(1, 5)))]
-        edges = [(vertices[rng.integers(len(vertices))], int(rng.integers(n_symbols)), vertices[rng.integers(len(vertices))])
-                 for _ in range(int(rng.integers(1, 4 * len(vertices))))]
+        n_edges = int(rng.integers(1, 4 * len(vertices)))
+        ends, symbols = rng.integers(len(vertices), size=(n_edges, 2)), rng.integers(n_symbols, size=n_edges)
+        edges = [(vertices[a], int(sym), vertices[b]) for (a, b), sym in zip(ends, symbols)]
         pres = SoficPresentation.make(n_symbols, edges)
         for _ in range(5):
             per = tuple(int(a) for a in rng.integers(0, n_symbols, size=rng.integers(1, 6)))
