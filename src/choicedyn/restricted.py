@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -25,7 +24,8 @@ import numpy as np
 from .setdyn import (
     ModelSpec, PointCloud, _check_maxiter, _check_symbols, _Graph, _nearest, _sweep, hausdorff,
 )
-from .sofic import SoficPresentation, _period_start, _walk
+from .sofic import SoficPresentation, _walk, start_vertices
+from .symbolic import UPString
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,17 +122,16 @@ def enumerate_slices(
     and only in normal form: a primitive period and a preperiod that is
     empty or ends in a letter other than the period's last; every other
     pair normalizes to a shorter one.  Level 0 holds the primitive periods
-    with a nonempty start-vertex set.  Level k + 1 prepends one letter to
-    the preperiods of level k, pulling each start set back by that letter,
-    and keeps the strategies whose set stays nonempty, so no strategy
-    outside the subshift is extended.  Each level is visited by (|period|,
-    preperiod, period).  A slice depends only on its start-vertex set, so
-    the union is built once per set, for its first strategy, and
-    deduplicated against the slices found so far by set equality (distinct
-    start-vertex sets may still give equal slices).  Strategy names are
-    interned, so reports over one alphabet share them.  Also emits K_Lambda
-    as the union of all vertex clouds and the decomposition sets A_j.
-    ``pres`` must equal the family's presentation.
+    whose start-vertex set, from ``start_vertices``, is nonempty.  Level
+    k + 1 prepends one letter to the preperiods of level k, pulling each
+    start set back by that letter, and keeps the strategies whose set stays
+    nonempty, so no strategy outside the subshift is extended.  Each level
+    is visited by (|period|, preperiod, period).  A slice depends only on
+    its start-vertex set, so the union is built once per set, for its first
+    strategy, and deduplicated against the slices found so far by set
+    equality (distinct start-vertex sets may still give equal slices).  Also
+    emits K_Lambda as the union of all vertex clouds and the decomposition
+    sets A_j.  ``pres`` must equal the family's presentation.
     """
     if pres != family.presentation:
         raise ValueError("the family was computed over another presentation")
@@ -149,7 +148,7 @@ def enumerate_slices(
     level = [(per_len, (), per, starts) for per_len in range(1, period_bound + 1)
              for per in product(range(n), repeat=per_len)
              if all(per != per[:d] * (per_len // d) for d in range(1, per_len) if per_len % d == 0)
-             and (starts := _period_start(pres, per))]
+             and (starts := start_vertices(pres, UPString((), per)))]
     for pre_len in range(period_bound):
         if pre_len:
             level = sorted((per_len, (a, *pre), per, pulled) for per_len, pre, per, starts in level
@@ -163,7 +162,7 @@ def enumerate_slices(
                 if i == len(slices):
                     slices.append(k_lambda if cloud.n == k_lambda.n else cloud)  # a slice lies in K_Lambda
                 slice_of[starts] = i
-            reps[sys.intern(f"{''.join(map(str, pre))}({''.join(map(str, per))})")] = slice_of[starts]
+            reps[f"{''.join(map(str, pre))}({''.join(map(str, per))})"] = slice_of[starts]
     a_sets = _decomposition_sets(model, k_lambda, k_lambda.delta)
     return SliceReport(
         delta=k_lambda.delta,

@@ -401,9 +401,7 @@ class _Graph:
         self.order = np.argsort(code, kind="stable")
 
     def fit(self, mask: np.ndarray) -> np.ndarray:
-        """The mask padded with False to the current node count; the mask itself when it has that length."""
-        if len(mask) == self.n:
-            return mask
+        """The mask padded with False to the current node count."""
         return np.concatenate((mask, np.zeros(self.n - len(mask), bool)))
 
     def image(self, pairs, step: int = 0) -> np.ndarray:

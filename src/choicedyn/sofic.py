@@ -103,24 +103,19 @@ def _walk(table: dict, frontier: frozenset, symbols) -> frozenset:
     return frontier
 
 
-def _period_start(pres: SoficPresentation, period) -> frozenset:
-    """Vertices from which the periodic string (period)(period)... is readable:
-    the greatest fixed point of the backward-preimage map along the period."""
-    targets = frozenset(pres.vertices)
-    while True:
-        shrunk = _walk(pres._back, targets, reversed(period))
-        if shrunk == targets:
-            return targets
-        targets = shrunk
-
-
 def start_vertices(pres: SoficPresentation, u: UPString) -> frozenset:
     """Vertices from which the infinite string ``u`` is readable.
 
-    The period's start set pulled back through the preperiod; empty iff u is
-    not in the subshift.
+    Greatest fixed point of the backward-preimage map along the period,
+    pulled back through the preperiod; empty iff u is not in the subshift.
     """
-    return _walk(pres._back, _period_start(pres, u.period), reversed(u.preperiod))
+    targets = frozenset(pres.vertices)
+    while True:
+        shrunk = _walk(pres._back, targets, reversed(u.period))
+        if shrunk == targets:
+            break
+        targets = shrunk
+    return _walk(pres._back, targets, reversed(u.preperiod))
 
 
 def builtin(name: str, n_symbols: int = 2) -> SoficPresentation:

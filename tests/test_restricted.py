@@ -152,16 +152,6 @@ def test_enumerate_slices_needs_the_family_presentation(three_point, golden_even
         enumerate_slices(three_point, pres, family, 6).representatives
 
 
-def test_reports_over_one_alphabet_share_their_strategy_names(three_point):
-    names = []
-    for subshift in ("golden_mean", "golden_even"):
-        pres = builtin(subshift)
-        report = enumerate_slices(three_point, pres, vertex_limits(three_point, pres, 0.0), period_bound=6)
-        names.append({key: key for key in report.representatives})
-    shared = names[0].keys() & names[1].keys()
-    assert "1(0)" in shared and all(names[0][key] is names[1][key] for key in shared)
-
-
 def test_enumerate_slices_full_shift(three_point):
     pres = builtin("full_shift", 2)
     family = vertex_limits(three_point, pres, delta=0.0)
