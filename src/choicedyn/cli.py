@@ -4,7 +4,8 @@ Commands: attractor | individual | slices | chaos | verify | render, each
 reading only the settings listed in ``_COMMANDS``.  Configuration comes from
 an optional JSON file plus flag overrides (flags win).  Exit codes: 0
 success, 2 configuration error (any ``ValueError`` raised for bad input, by
-the CLI or by the library), 3 non-convergence, 4 assumption violation.
+the CLI or by the library, or an ``OSError`` on a path the user names), 3
+non-convergence, 4 assumption violation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .setdyn import (
     PointCloud,
     chaos_game,
     compute_K,
-    directed_distance,
     individual_attractor,
 )
 from .sofic import SoficPresentation, builtin
@@ -127,7 +127,7 @@ def _subshift_from(cfg: RunConfig, n_symbols: int) -> SoficPresentation:
     name = cfg.subshift
     if not name:
         raise ValueError("no subshift selected; pass --subshift NAME|PATH")
-    if os.path.exists(name):
+    if os.path.isfile(name):
         with open(name, "r", encoding="utf-8") as fh:
             pres = SoficPresentation.from_text(fh.read(), n_symbols=n_symbols)
     else:
@@ -151,17 +151,10 @@ def _write_cloud(out_dir: str, stem: str, cloud: PointCloud, model) -> None:
     write_scatter(os.path.join(out_dir, f"{stem}.svg"), cloud.points, xlim=xlim, ylim=ylim)
 
 
-def _k_record(cfg: RunConfig, delta: float) -> dict:
-    """What k.json records of a run: its delta, its model name as build_model reads it, and its params."""
-    return {"delta": delta, "model": cfg.model.strip().lower(), "params": cfg.params}
-
-
 def cmd_attractor(cfg: RunConfig, args) -> int:
     model, delta = _model_from(cfg)
     report = compute_K(model, delta, maxiter=cfg.maxiter)
     _write_cloud(cfg.out, "k", report.cloud, model)
-    with open(os.path.join(cfg.out, "k.json"), "w", encoding="utf-8") as fh:
-        json.dump(_k_record(cfg, delta), fh)  # read back by individual
     print(
         f"K: {report.cloud.n} points at delta={delta}, "
         f"{report.iterations} iterations, residual {report.residual:.3e}, stop {report.stop}"
@@ -176,36 +169,13 @@ def cmd_individual(cfg: RunConfig, args) -> int:
     model, delta = _model_from(cfg)
     if not cfg.strategy:
         raise ValueError("individual needs --strategy")
-    k_path = os.path.join(cfg.out, "k.csv")  # a K left in --out by an earlier attractor run
-    K = None
     w = parse_strategy(cfg.strategy)
-    if os.path.exists(k_path):
-        with open(k_path, "r", encoding="utf-8") as fh:
-            K = PointCloud.from_csv(fh.read(), delta)
-        if K.n == 0 or K.dim != model.dim:
-            held = f"{K.dim}-D points" if K.n else "no points"
-            raise ValueError(f"{k_path!r} holds {held}; model {model.name!r} is {model.dim}-D")
-        record = os.path.join(cfg.out, "k.json")  # what attractor wrote k.csv for
-        written = {}
-        if os.path.exists(record):
-            with open(record, "r", encoding="utf-8") as fh:
-                written = json.load(fh)
-        written = written if isinstance(written, dict) else {}
-        for key, ours in _k_record(cfg, delta).items():
-            if key not in written or written[key] != ours:
-                at = f"at {key} {written[key]!r}" if key in written else f"without a {key} in {record!r}"
-                raise ValueError(
-                    f"{k_path!r} was written {at}, not at {key} {ours!r}; "
-                    "run attractor with this run's settings or use another --out"
-                )
     report = individual_attractor(model, w, delta)
     _write_cloud(cfg.out, "a_w", report.cloud, model)
     print(
         f"A_{w}: {report.cloud.n} points, {report.iterations} steps, residual {report.residual:.3e}, "
         f"stop {report.stop}"
     )
-    if K is not None:
-        print(f"containment residual A_w -> K: {directed_distance(report.cloud, K, model):.3e}")
     if not report.converged:
         print("orbit did not recur within the step cap", file=sys.stderr)
         return EXIT_NOCONV
@@ -294,7 +264,7 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command][0]
     try:
         return handler(RunConfig.load(args), args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssumptionViolation as exc:

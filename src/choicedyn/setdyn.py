@@ -355,7 +355,6 @@ class _Graph:
             raise ValueError(f"model {model.name!r} is discrete; use delta = 0")
         self.model = model
         self.delta = delta
-        self.absorbing = model.seed_absorbing and seed is None  # the model's own seed, flagged absorbing
         # seeded here so that the float seed is freed before its keys are packed
         keys = _snap(_as_point_array(model.seeder(delta) if seed is None else seed, model.dim), delta)
         if len(keys) == 0 or keys.shape[1] != model.dim:
@@ -487,7 +486,7 @@ def _sweep(g: _Graph, incoming, maxiter: int):
 
     def sweep(k, masks):
         new = tuple(g.image([(masks[u], j) for u, j in edges], step=k) for edges in incoming)
-        if g.absorbing and any((g.fit(b) & ~g.fit(a)).any() for a, b in zip(masks, new)):
+        if g.model.seed_absorbing and any((g.fit(b) & ~g.fit(a)).any() for a, b in zip(masks, new)):
             raise RuntimeError(f"model {g.model.name!r}: seed_absorbing seed is not absorbing")
         return new
 
@@ -592,7 +591,6 @@ def compute_K(
     model: ModelSpec,
     delta: float,
     maxiter: int = 1000,
-    seed: PointCloud = None,
 ) -> AttractorReport:
     """Iterate the Hutchinson-Barnsley step from the seeded bounding cloud.
 
@@ -611,7 +609,7 @@ def compute_K(
     (['A', 'B', 'C'], 1, 'cycle')
     """
     _check_maxiter(maxiter)
-    g = _Graph(model, delta, None if seed is None else seed.points)
+    g = _Graph(model, delta)
     masks, k, residual, stop = _sweep(g, [[(0, j) for j in range(model.n_maps)]], maxiter)
     return AttractorReport(g.cloud(*masks[0]), k, residual, stop)
 

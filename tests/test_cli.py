@@ -40,17 +40,19 @@ def test_attractor_deterministic_outputs(tmp_path):
     assert (a / "k.svg").read_bytes() == (b / "k.svg").read_bytes()
 
 
-def test_individual_prints_containment(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert run_cli("attractor", "--model", "cantor", "--delta", "0.001", "--out", str(out)) == 0
-    capsys.readouterr()
-    code = run_cli(
-        "individual", "--model", "cantor", "--delta", "0.001", "--strategy", "(01)", "--out", str(out)
-    )
-    assert code == 0
-    captured = capsys.readouterr().out
-    assert "containment residual" in captured
-    assert (out / "a_w.csv").exists() and (out / "a_w.svg").exists()
+def test_individual_output_does_not_depend_on_what_out_holds(tmp_path, capsys):
+    # the same stdout, a_w.csv and a_w.svg in an empty --out and after attractor in the same --out
+    argv = ("--model", "cantor", "--delta", "0.001")
+    runs = []
+    for name, before in (("empty", ()), ("after", ("attractor",))):
+        out = tmp_path / name
+        if before:
+            assert run_cli(*before, *argv, "--out", str(out)) == 0
+            assert sorted(os.listdir(out)) == ["k.csv", "k.svg"]
+        capsys.readouterr()
+        assert run_cli("individual", *argv, "--strategy", "(01)", "--out", str(out)) == 0
+        runs.append([capsys.readouterr().out, (out / "a_w.csv").read_bytes(), (out / "a_w.svg").read_bytes()])
+    assert runs[0] == runs[1]
 
 
 def test_individual_line_alternating_exits_4(tmp_path):
@@ -141,64 +143,7 @@ def test_line_model_at_delta_0_is_no_config_error(tmp_path, capsys):
     assert run_cli("attractor", "--model", "line", "--delta", "0", "--out", str(tmp_path)) == 4
 
 
-def test_individual_rejects_a_k_csv_of_another_dimension(tmp_path, capsys):
-    assert run_cli("attractor", "--model", "cantor", "--out", str(tmp_path)) == 0
-    argv = ("individual", "--model", "malaria", "--strategy", "(10)", "--delta", "0.02", "--out", str(tmp_path))
-    assert run_cli(*argv) == 2
-    err = capsys.readouterr().err
-    assert "k.csv" in err and "1-D points; model 'malaria' is 2-D" in err
-    assert not (tmp_path / "a_w.csv").exists()
-
-
-@pytest.mark.parametrize("delta", ["0.02", "0.005"])
-def test_individual_rejects_a_k_csv_written_at_another_delta(tmp_path, capsys, delta):
-    # at 0.005 the 0.01-grid points of k.csv are grid points too: only the record tells
-    assert run_cli("attractor", "--model", "cantor", "--delta", "0.01", "--out", str(tmp_path)) == 0
-    argv = ("individual", "--model", "cantor", "--strategy", "(01)", "--out", str(tmp_path))
-    assert run_cli(*argv, "--delta", delta) == 2
-    assert f"k.csv' was written at delta 0.01, not at delta {delta}" in capsys.readouterr().err
-    assert not (tmp_path / "a_w.csv").exists()
-    assert run_cli(*argv, "--delta", "0.01") == 0
-
-
-@pytest.mark.parametrize("record", [None, "[0.01]"])
-def test_individual_rejects_a_k_csv_without_its_delta(tmp_path, capsys, record):
-    assert run_cli("attractor", "--model", "cantor", "--delta", "0.01", "--out", str(tmp_path)) == 0
-    if record is None:
-        (tmp_path / "k.json").unlink()
-    else:
-        (tmp_path / "k.json").write_text(record)
-    argv = ("individual", "--model", "cantor", "--strategy", "(01)", "--delta", "0.01", "--out", str(tmp_path))
-    assert run_cli(*argv) == 2
-    assert "k.csv' was written without a delta in" in capsys.readouterr().err
-    assert not (tmp_path / "a_w.csv").exists()
-
-
-@pytest.mark.parametrize(
-    "written,run,message",
-    [  # a K of dt = 0.01 would measure A_w of dt = 0.005 against the wrong set
-        ({"model": "malaria"}, {"model": "malaria", "params": {"dt": 0.005}, "strategy": "(10)"},
-         "at params {}, not at params {'dt': 0.005}"),
-        ({"model": "malaria0"}, {"model": "malaria", "strategy": "(0)"}, "at model 'malaria0', not at model 'malaria'"),
-    ],
-    ids=["params", "model"],
-)
-def test_individual_rejects_a_k_csv_of_another_model_or_params(tmp_path, capsys, written, run, message):
-    def cli(command, entries):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"delta": 0.02, **entries}))
-        return run_cli(command, "--config", str(cfg), "--out", str(tmp_path))
-
-    assert cli("attractor", written) == 0
-    assert cli("individual", run) == 2
-    assert f"k.csv' was written {message}" in capsys.readouterr().err
-    assert not (tmp_path / "a_w.csv").exists()
-    # the model name is compared as build_model reads it
-    assert cli("individual", {"model": written["model"].upper(), "strategy": "(0)"}) == 0
-
-
-# sha256 of each file `attractor` and `individual` write and of their stdout;
-# k.json is compared by its content
+# sha256 of each file `attractor` and `individual` write and of their stdout
 RUN_DIGESTS = {
     ("attractor", "--model", "cantor", "--delta", "1e-3"): {
         "k.csv": "27d8be5aa70da4332d6c4898c023718fa677bbdb670a7bea3a670bbb2a36c9b0",
@@ -226,12 +171,9 @@ RUN_DIGESTS = {
 @pytest.mark.parametrize("argv", list(RUN_DIGESTS), ids=" ".join)
 def test_run_outputs_match_their_digests(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir() if p.name != "k.json"}
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == RUN_DIGESTS[argv]
-    if argv[0] == "attractor":
-        record = {"delta": float(argv[-1]), "model": argv[2], "params": {}}
-        assert json.loads((tmp_path / "k.json").read_text()) == record
 
 
 # sha256 of each file `slices` writes and of its stdout; the vertex-family
@@ -371,6 +313,28 @@ def test_slices_subshift_file_that_prunes_to_nothing_exits_2(tmp_path, capsys):
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == f"config error: subshift {str(graph)!r} is empty\n"
     assert not out.exists()
+
+
+def test_a_directory_does_not_hide_a_builtin_subshift(tmp_path, monkeypatch, capsys):
+    # only a file is read as a graph: a directory named golden_mean leaves the
+    # builtin in force, and a directory of any other name is no subshift (exit 2)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "golden_mean").mkdir()
+    argv = ("slices", "--model", "three_point", "--delta", "0", "--out", "out")
+    assert run_cli(*argv, "--subshift", "golden_mean") == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["distinct_slices"] == 2
+    capsys.readouterr()
+    assert run_cli(*argv, "--subshift", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"config error: unknown builtin presentation {str(tmp_path)!r}\n"
+
+
+def test_an_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "f"
+    out.write_text("kept")
+    assert run_cli("attractor", "--model", "cantor", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and str(out) in err
+    assert out.read_text() == "kept"
 
 
 def test_slices_requires_subshift(tmp_path):

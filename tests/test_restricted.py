@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from choicedyn import models, restricted
 from choicedyn.restricted import (
@@ -25,7 +24,7 @@ from choicedyn.setdyn import (
 from choicedyn.sofic import SoficPresentation, builtin, start_vertices
 from choicedyn.symbolic import UPString, enumerate_words, parse_strategy
 from choicedyn.verify import product_graph_slice_oracle
-from test_setdyn import _grid_tables, _reachable_from_cycles
+from grid_oracles import grid_tables, reachable_from_cycles, tree_nearest
 
 
 @pytest.fixture(scope="module")
@@ -445,14 +444,14 @@ def test_vertex_limits_equal_the_product_graph_limits(label, subshift, delta):
     # that each move the clouds by less than delta
     model, pres = models.build_model(*_MODELS[label]), builtin(subshift)
     if delta:
-        coords, tables = _grid_tables(model, delta)
+        coords, tables = grid_tables(model, delta)
     else:  # gestalt's states 0 ... 2**depth - 1 are their own node ids
         coords = model.seeder(0.0)
         tables = [fn(coords)[:, 0].astype(np.int64) for fn in model.maps]
     n, at = len(coords), {v: i for i, v in enumerate(pres.vertices)}
     src = np.concatenate([at[u] * n + np.arange(n) for u, _, _ in pres.edges])
     dst = np.concatenate([at[v] * n + tables[j] for _, j, v in pres.edges])
-    reach = _reachable_from_cycles(len(at) * n, src, dst).reshape(len(at), n)
+    reach = reachable_from_cycles(len(at) * n, src, dst).reshape(len(at), n)
     family = vertex_limits(model, pres, delta)
     assert family.stop == "cycle" and family.residual == 0.0
     for v, i in at.items():
@@ -470,7 +469,7 @@ def _brute_hausdorff(model, a, b):
     if not a.n or not b.n:
         return math.inf
     if not model.dsigma_bits:
-        return float(max(cKDTree(b.points).query(a.points)[0].max(), cKDTree(a.points).query(b.points)[0].max()))
+        return float(max(tree_nearest(a.points, b.points).max(), tree_nearest(b.points, a.points).max()))
 
     def directed(x, y):
         cx, cy = x.points[:, 0].astype(np.int64), y.points[:, 0].astype(np.int64)
@@ -519,7 +518,7 @@ def test_decomposition_sets_are_the_search_tree_threshold(dim, n, span, delta, s
     probe = ModelSpec(name="probe", dim=dim, maps=(lambda pts: images,), scalar_maps=(None,),
                       lower=(-1.0,) * dim, upper=(1.0,) * dim, seeder=None)
     (a,) = restricted._decomposition_sets(probe, k, delta)
-    mask = cKDTree(k.points).query(images)[0] <= delta * (1.0 + 1e-9) + 1e-12
+    mask = tree_nearest(images, k.points) <= delta * (1.0 + 1e-9) + 1e-12
     assert a == PointCloud(k.points[mask], delta)
 
 

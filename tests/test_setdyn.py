@@ -5,9 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from choicedyn import models, restricted, setdyn
 from choicedyn.restricted import vertex_limits
@@ -24,6 +21,7 @@ from choicedyn.setdyn import (
 )
 from choicedyn.sofic import builtin
 from choicedyn.symbolic import UPString, d_sigma, enumerate_words, parse_strategy
+from grid_oracles import grid_tables, reachable_from_cycles, tree_nearest
 
 
 @pytest.fixture(scope="module")
@@ -263,10 +261,6 @@ def _random_cloud(rng, n, dim, delta, span, apart=0.0):
     return PointCloud((rng.integers(-span, span, size=(n, dim)) + apart * span) * delta, delta)
 
 
-def _tree_nearest(points, b):
-    return cKDTree(b.points).query(points)[0]
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     dim=st.sampled_from([1, 2]),
@@ -282,10 +276,10 @@ def test_directed_distance_is_the_search_tree_max_min(dim, sizes, delta, apart, 
     rng = np.random.default_rng(seed)
     na, nb, span = sizes
     a, b = _random_cloud(rng, na, dim, delta, span), _random_cloud(rng, nb, dim, delta, span, apart)
-    assert directed_distance(a, b) == np.max(_tree_nearest(a.points, b))
-    assert hausdorff(a, b) == max(np.max(_tree_nearest(a.points, b)), np.max(_tree_nearest(b.points, a)))
+    assert directed_distance(a, b) == np.max(tree_nearest(a.points, b.points))
+    assert hausdorff(a, b) == max(np.max(tree_nearest(a.points, b.points)), np.max(tree_nearest(b.points, a.points)))
     off = a.points + rng.uniform(-1.0, 1.0, a.points.shape)
-    assert np.array_equal(setdyn._nearest(off, b), _tree_nearest(off, b))
+    assert np.array_equal(setdyn._nearest(off, b), tree_nearest(off, b.points))
 
 
 def test_compute_K_matches_ternary_oracle(cantor, cantor_K):
@@ -311,20 +305,6 @@ def test_compute_K_single_map_contains_fixed_points():
         assert directed_distance(PointCloud(np.array([pt]), 1e-3), rep.cloud) <= 2e-3
 
 
-def test_compute_K_seed_independence(cantor, cantor_K):
-    other = compute_K(cantor, delta=1e-3, seed=PointCloud(np.array([[0.3], [0.9]]), 1e-3))
-    assert other.converged
-    assert hausdorff(other.cloud, cantor_K.cloud) <= 2 * 2e-3
-
-
-def test_compute_K_from_a_caller_seed_ends_at_its_recurrence(cantor):
-    # no tol exit off the absorbing seed: the orbit of {0.5} runs to its fixed point
-    delta = 1e-4
-    rep = compute_K(cantor, delta=delta, seed=PointCloud([[0.5]], delta))
-    assert rep.converged and rep.residual == 0.0
-    assert hutchinson_step(cantor, rep.cloud) == rep.cloud
-
-
 def test_compute_K_rejects_bad_resolution(cantor, three_point):
     with pytest.raises(ValueError):
         compute_K(cantor, delta=0.0)
@@ -332,15 +312,18 @@ def test_compute_K_rejects_bad_resolution(cantor, three_point):
         compute_K(three_point, delta=0.01)
 
 
+def _seeded(model, seed):
+    """The model with the seed's points as its seeder (the model itself for no seed)."""
+    return model if seed is None else dataclasses.replace(model, seeder=lambda _: seed.points)
+
+
 # Every grid run checks its inputs where its graph is built, so a bad input
-# gets the same ValueError from each entry point.  A seed reaches
-# vertex_limits, which takes none, as the model's seeder.
+# gets the same ValueError from each entry point.  A seed reaches compute_K
+# and vertex_limits, which take none, as the model's seeder.
 _ENTRY_POINTS = {
-    "compute_K": lambda m, d, seed: compute_K(m, d, seed=seed),
+    "compute_K": lambda m, d, seed: compute_K(_seeded(m, seed), d),
     "individual_attractor": lambda m, d, seed: individual_attractor(m, UPString("", "01"), d, seed=seed),
-    "vertex_limits": lambda m, d, seed: vertex_limits(
-        m if seed is None else dataclasses.replace(m, seeder=lambda _: seed.points), builtin("golden_mean"), d
-    ),
+    "vertex_limits": lambda m, d, seed: vertex_limits(_seeded(m, seed), builtin("golden_mean"), d),
 }
 
 
@@ -401,7 +384,7 @@ def test_an_escape_from_K_reports_its_step():
     # {1} doubles in magnitude each step and passes the radius 1e6 at step 20
     line, seed = models.line_counterexample(), PointCloud([[1.0]], 0.5)
     with pytest.raises(AssumptionViolation) as from_K:
-        compute_K(line, 0.5, seed=seed)
+        compute_K(_seeded(line, seed), 0.5)
     with pytest.raises(AssumptionViolation) as from_A_w:
         individual_attractor(line, UPString("", "01"), 0.5, seed=seed)
     assert from_K.value.step == from_A_w.value.step == 20
@@ -558,6 +541,28 @@ def test_nesting_inclusions_on_cantor(cantor, cantor_K):
         f_a = hutchinson_step(cantor, rep.cloud)
         assert directed_distance(rep.cloud, f_a) <= 2 * delta
         assert directed_distance(f_a, cantor_K.cloud) <= 2 * delta
+
+
+@pytest.mark.parametrize(
+    "name, params, delta",
+    [("malaria", {}, 0.02), ("malaria", {"dt": 0.005}, 0.02), ("cantor", {}, 1e-3), ("gestalt", {}, 0.0),
+     ("three_point", {}, 0.0)],
+    ids=["malaria-0.02", "malaria_dt0.005-0.02", "cantor-0.001", "gestalt", "three_point"],
+)
+def test_every_individual_attractor_lies_in_K_on_the_grid(name, params, delta):
+    # each T_k of an orbit from the seed lies in F^k(seed), so A_w is a subset of K, exactly
+    model = models.build_model(name, params)
+    K = compute_K(model, delta).cloud
+    strategies = {
+        UPString(pre.letters, per.letters)
+        for pre_len in range(4)
+        for per_len in range(1, 5 - pre_len)
+        for pre in enumerate_words(2, pre_len)
+        for per in enumerate_words(2, per_len)
+    }
+    assert len(strategies) == 48
+    for w in strategies:
+        assert individual_attractor(model, w, delta).cloud.subset_of(K), w
 
 
 def test_cantor_digit_coding_reaches_every_K_point(cantor, cantor_K):
@@ -717,40 +722,6 @@ def test_snapping_rejects_int64_overflow():
         PointCloud([[1e6]], 1e-14)
 
 
-# Grid oracles: on the seed grid each map is a table node -> node (snapping
-# works point by point), so limits are properties of that finite graph.
-# They evaluate the maps and the snapping rule here, never the engine.
-
-
-def _grid_tables(model, delta):
-    """Seed-grid coordinates in lexicographic order and each map as a node table."""
-    idx = np.unique(np.ceil(model.seeder(delta) / delta - 0.5).astype(np.int64), axis=0)
-    lo, span = idx.min(axis=0), np.ptp(idx, axis=0) + 1
-    assert np.prod(span) == len(idx)  # a full box: node id = row-major index
-
-    def node(pts):
-        rel = np.ceil(np.asarray(pts) / delta - 0.5).astype(np.int64) - lo
-        assert ((rel >= 0) & (rel < span)).all()
-        return np.ravel_multi_index(tuple(rel.T), tuple(span))
-
-    coords = idx * delta
-    return coords, [node(fn(coords)) for fn in model.maps]
-
-
-def _reachable_from_cycles(n, src, dst):
-    """Which of the nodes 0 ... n-1 of the edges src -> dst a cycle reaches."""
-    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
-    _, label = connected_components(graph, directed=True, connection="strong")
-    reach = np.bincount(label)[label] > 1
-    reach[src[src == dst]] = True
-    while True:
-        grown = reach.copy()
-        grown[dst[reach[src]]] = True
-        if np.array_equal(grown, reach):
-            return reach
-        reach = grown
-
-
 @pytest.mark.parametrize(
     "name, params, delta",
     [("malaria", {}, 0.02), ("cantor", {}, 1e-3), ("malaria", {}, 0.01), ("malaria", {"dt": 0.005}, 0.02)],
@@ -759,9 +730,9 @@ def _reachable_from_cycles(n, src, dst):
 def test_compute_K_equals_cycle_reachable_grid_nodes(name, params, delta):
     # the last two pass steps that move K by at most delta well before its limit
     model = models.build_model(name, params)
-    coords, tables = _grid_tables(model, delta)
+    coords, tables = grid_tables(model, delta)
     n = len(coords)
-    oracle = coords[_reachable_from_cycles(n, np.tile(np.arange(n), len(tables)), np.concatenate(tables))]
+    oracle = coords[reachable_from_cycles(n, np.tile(np.arange(n), len(tables)), np.concatenate(tables))]
     rep = compute_K(model, delta)
     assert rep.stop == "cycle" and rep.residual == 0.0
     assert np.array_equal(rep.cloud.points, oracle)
@@ -771,7 +742,7 @@ def test_compute_K_equals_cycle_reachable_grid_nodes(name, params, delta):
 def test_individual_attractor_equals_composed_table_image(text):
     mal, delta = models.malaria_model(), 0.02
     w = parse_strategy(text)
-    coords, tables = _grid_tables(mal, delta)
+    coords, tables = grid_tables(mal, delta)
     cur = np.arange(len(coords))
     for s in w.preperiod:
         cur = np.unique(tables[s][cur])
