@@ -328,10 +328,20 @@ def test_a_directory_does_not_hide_a_builtin_subshift(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == f"config error: unknown builtin presentation {str(tmp_path)!r}\n"
 
 
-def test_an_out_that_is_a_file_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [  # _write_cloud makes --out for the first three, save_slice_report for slices
+        ("attractor", "--model", "cantor"),
+        ("individual", "--model", "cantor", "--strategy", "(01)"),
+        ("chaos", "--model", "cantor"),
+        ("slices", "--model", "three_point", "--delta", "0", "--subshift", "golden_mean"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_out_that_is_a_file_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "f"
     out.write_text("kept")
-    assert run_cli("attractor", "--model", "cantor", "--out", str(out)) == 2
+    assert run_cli(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and str(out) in err
     assert out.read_text() == "kept"
