@@ -27,7 +27,6 @@ from .restricted import (
     SliceReport,
     VertexFamily,
     enumerate_slices,
-    save_slice_report,
     verify_decomposition,
     vertex_limits,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "individual_attractor",
     "models",
     "parse_strategy",
-    "save_slice_report",
     "shift",
     "start_vertices",
     "verify_decomposition",

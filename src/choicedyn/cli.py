@@ -3,9 +3,10 @@
 Commands: attractor | individual | slices | chaos | verify | render, each
 reading only the settings listed in ``_COMMANDS``.  Configuration comes from
 an optional JSON file plus flag overrides (flags win).  Exit codes: 0
-success, 2 configuration error (any ``ValueError`` raised for bad input, by
-the CLI or by the library, or an ``OSError`` on a path the user names), 3
-non-convergence, 4 assumption violation.
+success, 1 a failed acceptance criterion (``verify``), 2 configuration error
+(any ``ValueError`` raised for bad input, by the CLI or by the library, or an
+``OSError`` on a path the user names), 3 non-convergence, 4 assumption
+violation.  This module writes every file a command makes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import typing
 from dataclasses import dataclass, field
 
 from . import models, verify
-from .restricted import enumerate_slices, save_slice_report, vertex_limits, verify_decomposition
+from .restricted import enumerate_slices, vertex_limits, verify_decomposition
 from .setdyn import (
     AssumptionViolation,
     PointCloud,
@@ -27,10 +28,11 @@ from .setdyn import (
     individual_attractor,
 )
 from .sofic import SoficPresentation, builtin
-from .svgplot import write_scatter
+from .svgplot import scatter_svg, write_scatter
 from .symbolic import parse_strategy
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 EXIT_ASSUMPTION = 4
@@ -143,10 +145,19 @@ def _plot_limits(model):
     return None, None
 
 
-def _write_cloud(out_dir: str, stem: str, cloud: PointCloud, model) -> None:
+def _write(out_dir: str, name: str, text: str) -> None:
+    """Write one file into the output directory, making the directory first."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{stem}.csv"), "w", encoding="utf-8") as fh:
-        fh.write(cloud.to_csv())
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _write_cloud(out_dir: str, stem: str, cloud: PointCloud, model) -> None:
+    _write(out_dir, f"{stem}.csv", cloud.to_csv())
     xlim, ylim = _plot_limits(model)
     write_scatter(os.path.join(out_dir, f"{stem}.svg"), cloud.points, xlim=xlim, ylim=ylim)
 
@@ -187,7 +198,14 @@ def cmd_slices(cfg: RunConfig, args) -> int:
     pres = _subshift_from(cfg, model.n_maps)
     family = vertex_limits(model, pres, delta, maxiter=cfg.maxiter)
     report = enumerate_slices(model, pres, family, period_bound=cfg.period_bound)
-    save_slice_report(report, cfg.out)
+    slices = {f"slice_{i}.csv": c for i, c in enumerate(report.slices)}
+    a_sets = {f"a_{j}.csv": c for j, c in enumerate(report.a_sets)}
+    for name, cloud in {**slices, "k_lambda.csv": report.k_lambda, **a_sets}.items():
+        _write(cfg.out, name, cloud.to_csv())
+    _write(cfg.out, "manifest.json", _json({  # _json sorts the representatives' keys too
+        "delta": report.k_lambda.delta, "distinct_slices": len(slices), "slices": list(slices),
+        "k_lambda": "k_lambda.csv", "a_sets": list(a_sets), "representatives": report.representatives,
+    }))
     ok, residuals = verify_decomposition(report, model)
     print(f"distinct slices: {len(report.slices)}, vertex family {family.iterations} sweeps, stop {family.stop}")
     print(
@@ -220,11 +238,8 @@ def cmd_chaos(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     ctx = verify.Context(*models.malaria_psets(cfg.params))
     results = verify.run(only=cfg.only, ctx=ctx, echo=print)
-    os.makedirs(cfg.out, exist_ok=True)
-    with open(os.path.join(cfg.out, "verify.json"), "w", encoding="utf-8") as fh:
-        json.dump(verify.to_json(results), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return EXIT_OK if all(r.passed for r in results) else 1
+    _write(cfg.out, "verify.json", _json(verify.to_json(results)))
+    return EXIT_OK if all(r.passed for r in results) else EXIT_FAILED
 
 
 def cmd_render(cfg: RunConfig, args) -> int:
@@ -235,11 +250,9 @@ def cmd_render(cfg: RunConfig, args) -> int:
         raise ValueError(f"cannot read {args.csv!r}: {exc}")
     if cloud.n == 0:
         raise ValueError(f"{args.csv!r} holds no points")
-    os.makedirs(cfg.out, exist_ok=True)
-    stem = os.path.splitext(os.path.basename(args.csv))[0]
-    out_path = os.path.join(cfg.out, f"{stem}.svg")
-    write_scatter(out_path, cloud.points)
-    print(f"wrote {out_path}")
+    name = f"{os.path.splitext(os.path.basename(args.csv))[0]}.svg"
+    _write(cfg.out, name, scatter_svg(cloud.points))
+    print(f"wrote {os.path.join(cfg.out, name)}")
     return EXIT_OK
 
 

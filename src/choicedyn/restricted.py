@@ -14,8 +14,6 @@ delta of K_Lambda}.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -86,19 +84,19 @@ def vertex_limits(
 
 @dataclass(frozen=True, eq=False)
 class SliceReport:
-    """Distinct slices, strategy classification, and the K_Lambda decomposition;
-    a slice or A_j equal to K_Lambda is ``k_lambda`` itself."""
+    """Distinct slices, strategy classification, and the K_Lambda decomposition, at
+    ``k_lambda.delta``; a slice or A_j equal to K_Lambda is ``k_lambda`` itself."""
 
-    delta: float
     slices: tuple
     representatives: dict
     k_lambda: PointCloud
     a_sets: tuple
 
 
-def _decomposition_sets(model: ModelSpec, k_lambda: PointCloud, delta: float):
-    """A_j: the points of K_Lambda whose image under S_j lies within delta of
-    K_Lambda (at delta = 0, on it), up to rounding."""
+def _decomposition_sets(model: ModelSpec, k_lambda: PointCloud):
+    """A_j: the points of K_Lambda whose image under S_j lies within K_Lambda's
+    delta of K_Lambda (at delta = 0, on it), up to rounding."""
+    delta = k_lambda.delta
     sets = []
     for fn in model.maps:
         images = np.asarray(fn(k_lambda.points), dtype=float)
@@ -163,13 +161,11 @@ def enumerate_slices(
                     slices.append(k_lambda if cloud.n == k_lambda.n else cloud)  # a slice lies in K_Lambda
                 slice_of[starts] = i
             reps[f"{''.join(map(str, pre))}({''.join(map(str, per))})"] = slice_of[starts]
-    a_sets = _decomposition_sets(model, k_lambda, k_lambda.delta)
     return SliceReport(
-        delta=k_lambda.delta,
         slices=tuple(slices),
         representatives=reps,
         k_lambda=k_lambda,
-        a_sets=a_sets,
+        a_sets=_decomposition_sets(model, k_lambda),
     )
 
 
@@ -179,7 +175,7 @@ def verify_decomposition(report: SliceReport, model: ModelSpec):
     Returns (ok, residuals): the first union must match within 2*delta, the
     mapped union within 4*delta (exactly, when delta = 0).
     """
-    delta = report.delta
+    delta = report.k_lambda.delta
     nonempty = [a for a in report.a_sets if a.n]
     if not nonempty:
         return False, {"union": float("inf"), "mapped": float("inf")}
@@ -194,25 +190,3 @@ def verify_decomposition(report: SliceReport, model: ModelSpec):
     ok = r_union <= 2.0 * delta and r_mapped <= 4.0 * delta
     return ok, {"union": r_union, "mapped": r_mapped}
 
-
-def save_slice_report(report: SliceReport, out_dir: str) -> dict:
-    """Write slice_k.csv, k_lambda.csv, a_j.csv, and a JSON manifest."""
-    os.makedirs(out_dir, exist_ok=True)
-    slice_files = [f"slice_{i}.csv" for i in range(len(report.slices))]
-    a_files = [f"a_{j}.csv" for j in range(len(report.a_sets))]
-    clouds = (*report.slices, report.k_lambda, *report.a_sets)
-    for name, cloud in zip((*slice_files, "k_lambda.csv", *a_files), clouds):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(cloud.to_csv())
-    manifest = {
-        "delta": report.delta,
-        "distinct_slices": len(report.slices),
-        "slices": slice_files,
-        "k_lambda": "k_lambda.csv",
-        "a_sets": a_files,
-        "representatives": dict(sorted(report.representatives.items())),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest

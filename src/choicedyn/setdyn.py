@@ -8,8 +8,8 @@ lexicographic order, so equal sets compare equal and iteration over a
 bounded region terminates in exact set cycles.
 
 The engine provides the Hutchinson-Barnsley step F(A) = S_0(A) u ... u
-S_{N-1}(A), the global attractor K, per-strategy (individual) attractors,
-also from a caller seed, and the chaos game.  Snapping works point by
+S_{N-1}(A), the global attractor K and per-strategy (individual) attractors,
+both from the model's seeder, and the chaos game.  Snapping works point by
 point, so on the grid each map is a fixed table node -> node: K, A_w and
 the vertex families of ``restricted`` are orbits of boolean masks over one
 lazily built transition graph (the set-oriented approach of GAIO), run by
@@ -347,16 +347,16 @@ class _Graph:
     read as False on them.
     """
 
-    def __init__(self, model: ModelSpec, delta: float, seed=None):
-        """Nodes for the seed points, by default the model's seeder at delta;
-        the one place where the delta and seed of a grid run are checked."""
+    def __init__(self, model: ModelSpec, delta: float):
+        """Nodes for the model's seeder at delta; the one place where the
+        delta and seed of a grid run are checked."""
         delta = _grid_delta(delta)
         if model.discrete and delta != 0:
             raise ValueError(f"model {model.name!r} is discrete; use delta = 0")
         self.model = model
         self.delta = delta
         # seeded here so that the float seed is freed before its keys are packed
-        keys = _snap(_as_point_array(model.seeder(delta) if seed is None else seed, model.dim), delta)
+        keys = _snap(_as_point_array(model.seeder(delta), model.dim), delta)
         if len(keys) == 0 or keys.shape[1] != model.dim:
             raise ValueError(f"model {model.name!r} needs a nonempty seed of dimension {model.dim}, got {keys.shape}")
         # np.unique stays here until the benchmark keeps no per-round outputs (ROADMAP "Do first")
@@ -519,9 +519,10 @@ def _nearest(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
     second coordinate.  Each point walks the columns outward from its own
     first coordinate, on both sides, bisecting each column for its two
     nearest rows by a packed (column, rank of y) code, until the squared
-    column gap is no smaller than the best squared distance found.  The
-    squares are summed in coordinate order and the root is taken last, as a
-    search tree does, so the result is the same float.
+    column gap plus the squared distance from its y to the cloud's y-range,
+    a floor under every row, is no smaller than the best squared distance
+    found.  The squares are summed in coordinate order and the root is taken
+    last, as a search tree does, so the result is the same float.
     """
     if cloud.dim > 2:
         raise ValueError(f"a cloud of dimension {cloud.dim}: distances need dimension 1 or 2")
@@ -535,11 +536,12 @@ def _nearest(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
     # a column at +inf, which c = -1 reads too, ends every walk; by gets a spare row for i = len(b)
     cx, by = np.append(cx, np.inf), np.append(b[:, 1], 0.0)
     best = np.full(len(points), np.inf)
+    floor = (points[:, 1] - np.clip(points[:, 1], cy[0], cy[-1])) ** 2  # no row is nearer in y
     for side in (1, -1):
         idx, c = np.arange(len(points)), home if side > 0 else home - 1
         while len(idx):
             gap = (points[idx, 0] - cx[c]) ** 2
-            go = gap < best[idx]
+            go = gap + floor[idx] < best[idx]
             idx, c, gap, y = idx[go], c[go], gap[go], points[idx[go], 1]
             i = np.searchsorted(code, c * len(cy) + ry[idx])  # the first row of column c at or above y
             dy2 = np.minimum(np.where(i < start[c + 1], (y - by[i]) ** 2, np.inf),
@@ -619,7 +621,6 @@ def individual_attractor(
     w: UPString,
     delta: float,
     maxiter: int = None,
-    seed: PointCloud = None,
 ) -> AttractorReport:
     """The per-strategy attractor A_w: the union over the orbit's cycle.
 
@@ -633,7 +634,7 @@ def individual_attractor(
     if maxiter is not None:
         _check_maxiter(maxiter)
     _check_symbols(model, w.preperiod + w.period)
-    g = _Graph(model, delta, None if seed is None else seed.points)
+    g = _Graph(model, delta)
     p, pre = len(w.period), len(w.preperiod)
     if maxiter is None:
         maxiter = (math.ceil(10.0 * model.diameter() / g.delta) if g.delta > 0 else g.n) + pre + 4 * p

@@ -249,9 +249,9 @@ def c08_counterexample(ctx: Context) -> tuple:
     """Alternating strategy escapes within 25 steps; constant strategies reach {0}."""
     model = models.line_counterexample()
     problems = []
-    seed = PointCloud(np.array([[1.0]]), 0.0)
+    from_one = replace(model, seeder=lambda _: np.array([[1.0]]))  # {1} doubles under (01)
     try:
-        individual_attractor(model, UPString((), (0, 1)), delta=0.0, maxiter=40, seed=seed)
+        individual_attractor(from_one, UPString((), (0, 1)), delta=0.0, maxiter=40)
         problems.append("alternating strategy did not trigger the escape monitor")
         step = None
     except AssumptionViolation as exc:

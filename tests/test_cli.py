@@ -11,7 +11,9 @@ import pytest
 import choicedyn
 from choicedyn import models
 from choicedyn.cli import main
-from choicedyn.setdyn import PointCloud, compute_K, directed_distance, hutchinson_step
+from choicedyn.restricted import enumerate_slices, vertex_limits
+from choicedyn.setdyn import PointCloud, chaos_game, compute_K, directed_distance, hutchinson_step
+from choicedyn.sofic import builtin
 from choicedyn.symbolic import UPString
 
 
@@ -239,6 +241,29 @@ def test_slices_three_point(tmp_path, capsys):
     assert (out / "a_0.csv").exists() and (out / "a_1.csv").exists()
 
 
+def test_slices_round_trip(tmp_path):
+    # the manifest lists every file slices writes, and each CSV reads back as the library's report
+    argv = ("slices", "--model", "three_point", "--delta", "0", "--subshift", "golden_even", "--out", str(tmp_path))
+    assert run_cli(*argv) == 0
+    model, pres = models.three_point_model(), builtin("golden_even")
+    report = enumerate_slices(model, pres, vertex_limits(model, pres, 0.0), period_bound=6)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest == {
+        "delta": 0.0,
+        "distinct_slices": 2,
+        "slices": ["slice_0.csv", "slice_1.csv"],
+        "k_lambda": "k_lambda.csv",
+        "a_sets": ["a_0.csv", "a_1.csv"],
+        "representatives": report.representatives,
+    }
+    written = {manifest["k_lambda"]: report.k_lambda}
+    written.update(zip(manifest["slices"], report.slices))
+    written.update(zip(manifest["a_sets"], report.a_sets))
+    assert sorted(os.listdir(tmp_path)) == sorted([*written, "manifest.json"])
+    for name, cloud in written.items():
+        assert PointCloud.from_csv((tmp_path / name).read_text(), manifest["delta"]) == cloud, name
+
+
 @pytest.mark.parametrize("tol", ["0.001", "-1"])
 def test_slices_tol_below_delta_exits_2(tmp_path, capsys, tol):
     # slices takes no --tol: a tol is refused before any slice is computed
@@ -330,7 +355,7 @@ def test_a_directory_does_not_hide_a_builtin_subshift(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize(
     "argv",
-    [  # _write_cloud makes --out for the first three, save_slice_report for slices
+    [  # cli._write makes --out, for every file of every command
         ("attractor", "--model", "cantor"),
         ("individual", "--model", "cantor", "--strategy", "(01)"),
         ("chaos", "--model", "cantor"),
@@ -401,12 +426,22 @@ def test_chaos_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_chaos_csv_is_the_library_chaos_game(tmp_path, capsys):
+    # the CLI's defaults: fair choice, 100000 steps, burn-in 1000, x0 the box centre 0.5; the
+    # cloud fills all 148 nodes whatever the seed, so the printed mean pins seed and burn-in
+    assert run_cli("chaos", "--model", "cantor", "--delta", "1e-3", "--seed", "7", "--out", str(tmp_path)) == 0
+    cloud, mean = chaos_game(models.cantor_model(), probs=[0.5, 0.5], x0=[0.5], steps=100_000, burnin=1000,
+                             rng_seed=7, delta=1e-3)
+    assert (tmp_path / "chaos.csv").read_text() == cloud.to_csv()
+    assert capsys.readouterr().out == f"chaos game: {cloud.n} distinct points, observable mean {mean!r}\n"
+
+
 def test_render_round_trip(tmp_path):
-    out = tmp_path / "r"
-    assert run_cli("attractor", "--model", "cantor", "--delta", "0.01", "--out", str(out)) == 0
-    code = run_cli("render", str(out / "k.csv"), "--out", str(out))
-    assert code == 0
-    ET.fromstring((out / "k.svg").read_text())
+    # render draws cantor's k.csv to the same bytes as attractor's k.svg
+    run, rendered = tmp_path / "run", tmp_path / "rendered"
+    assert run_cli("attractor", "--model", "cantor", "--delta", "0.01", "--out", str(run)) == 0
+    assert run_cli("render", str(run / "k.csv"), "--out", str(rendered)) == 0
+    assert (rendered / "k.svg").read_bytes() == (run / "k.svg").read_bytes()
 
 
 def test_unknown_config_entry_rejected(tmp_path, capsys):
@@ -432,9 +467,11 @@ def test_verify_single_criterion(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "C2" in printed and "PASS" in printed
-    data = json.loads((out / "verify.json").read_text())
+    text = (out / "verify.json").read_text()
+    data = json.loads(text)
     assert [c["id"] for c in data["criteria"]] == ["C2"]
     assert data["all_passed"]
+    assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_unknown_criterion_exits_2(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from choicedyn import models, restricted
 from choicedyn.restricted import (
     enumerate_slices,
-    save_slice_report,
     verify_decomposition,
     vertex_limits,
 )
@@ -414,20 +413,6 @@ def test_golden_mean_union_smaller_than_K_either_time_step():
         assert directed_distance(K.cloud, union) > floor
 
 
-def test_save_slice_report_round_trip(tmp_path, three_point, golden_even_family):
-    pres, family = golden_even_family
-    report = enumerate_slices(three_point, pres, family, period_bound=6)
-    manifest = save_slice_report(report, str(tmp_path))
-    assert (tmp_path / "manifest.json").exists()
-    loaded = json.loads((tmp_path / "manifest.json").read_text())
-    assert loaded == manifest
-    assert loaded["distinct_slices"] == 2
-    for i, name in enumerate(loaded["slices"]):
-        text = (tmp_path / name).read_text()
-        assert PointCloud.from_csv(text, report.delta) == report.slices[i]
-    assert PointCloud.from_csv((tmp_path / "k_lambda.csv").read_text(), report.delta) == report.k_lambda
-
-
 _SUBSHIFTS = ("golden_mean", "even_shift", "golden_even")
 _MODELS = {"malaria_dt0.005": ("malaria", {"dt": 0.005}), "cantor": ("cantor", {}), "gestalt": ("gestalt", {})}
 
@@ -517,7 +502,7 @@ def test_decomposition_sets_are_the_search_tree_threshold(dim, n, span, delta, s
     images = k.points[rng.integers(0, k.n, k.n)] + offset * delta
     probe = ModelSpec(name="probe", dim=dim, maps=(lambda pts: images,), scalar_maps=(None,),
                       lower=(-1.0,) * dim, upper=(1.0,) * dim, seeder=None)
-    (a,) = restricted._decomposition_sets(probe, k, delta)
+    (a,) = restricted._decomposition_sets(probe, k)
     mask = tree_nearest(images, k.points) <= delta * (1.0 + 1e-9) + 1e-12
     assert a == PointCloud(k.points[mask], delta)
 
@@ -527,7 +512,7 @@ def test_decomposition_sets_reject_a_3d_cloud():
     probe = ModelSpec(name="probe", dim=3, maps=(lambda pts: pts,), scalar_maps=(None,),
                       lower=(0.0,) * 3, upper=(1.0,) * 3, seeder=None)
     with pytest.raises(ValueError, match="dimension 3"):
-        restricted._decomposition_sets(probe, k, 0.5)
+        restricted._decomposition_sets(probe, k)
 
 
 @pytest.mark.parametrize("subshift", ["full_shift", *_SUBSHIFTS])
@@ -536,7 +521,7 @@ def test_decomposition_sets_at_delta_zero_are_snapped_membership(name, params, s
     # at delta = 0 the distance threshold is exact membership of the image in K_Lambda
     model = models.build_model(name, params)
     k = vertex_limits(model, builtin(subshift), delta=0.0).union()
-    sets = restricted._decomposition_sets(model, k, 0.0)
+    sets = restricted._decomposition_sets(model, k)
     for fn, a in zip(model.maps, sets):
         assert a == PointCloud(k.points[k.contains_points(fn(k.points))], 0.0)
 

@@ -318,11 +318,11 @@ def _seeded(model, seed):
 
 
 # Every grid run checks its inputs where its graph is built, so a bad input
-# gets the same ValueError from each entry point.  A seed reaches compute_K
-# and vertex_limits, which take none, as the model's seeder.
+# gets the same ValueError from each entry point.  A seed reaches each of
+# them as the model's seeder.
 _ENTRY_POINTS = {
     "compute_K": lambda m, d, seed: compute_K(_seeded(m, seed), d),
-    "individual_attractor": lambda m, d, seed: individual_attractor(m, UPString("", "01"), d, seed=seed),
+    "individual_attractor": lambda m, d, seed: individual_attractor(_seeded(m, seed), UPString("", "01"), d),
     "vertex_limits": lambda m, d, seed: vertex_limits(_seeded(m, seed), builtin("golden_mean"), d),
 }
 
@@ -386,7 +386,7 @@ def test_an_escape_from_K_reports_its_step():
     with pytest.raises(AssumptionViolation) as from_K:
         compute_K(_seeded(line, seed), 0.5)
     with pytest.raises(AssumptionViolation) as from_A_w:
-        individual_attractor(line, UPString("", "01"), 0.5, seed=seed)
+        individual_attractor(_seeded(line, seed), UPString("", "01"), 0.5)
     assert from_K.value.step == from_A_w.value.step == 20
 
 
@@ -447,7 +447,7 @@ def test_line_model_diagnostics():
     line = models.line_counterexample()
     seed = PointCloud(np.array([[1.0]]), 0.0)
     with pytest.raises(AssumptionViolation) as err:
-        individual_attractor(line, UPString("", "01"), delta=0.0, maxiter=40, seed=seed)
+        individual_attractor(_seeded(line, seed), UPString("", "01"), delta=0.0, maxiter=40)
     assert err.value.step <= 25
     for j in (0, 1):
         rep = individual_attractor(line, UPString("", str(j)), delta=0.0)
@@ -500,7 +500,7 @@ def test_individual_attractor_matches_set_orbit_on_three_point(three_point):
     runs = 0
     for w in strategies:
         for start in ("A", "B", "C", "AB", "ABC"):
-            rep = individual_attractor(three_point, w, 0.0, seed=models.points_cloud(list(start)))
+            rep = individual_attractor(_seeded(three_point, models.points_cloud(list(start))), w, 0.0)
             assert rep.converged and rep.residual == 0.0, (w, start)
             assert models.label_cloud(rep.cloud) == _set_orbit_limit(tables, start, w), (w, start)
             runs += 1
@@ -520,9 +520,9 @@ def test_individual_attractor_matches_set_orbit_on_gestalt(text):
 
 def test_omega_limit_examples(three_point):
     w = UPString("", "0")
-    from_A = individual_attractor(three_point, w, 0.0, seed=models.points_cloud(["A"])).cloud
+    from_A = individual_attractor(_seeded(three_point, models.points_cloud(["A"])), w, 0.0).cloud
     assert models.label_cloud(from_A) == frozenset("BC")
-    bigger = individual_attractor(three_point, w, 0.0, seed=models.points_cloud(["A", "B"])).cloud
+    bigger = individual_attractor(_seeded(three_point, models.points_cloud(["A", "B"])), w, 0.0).cloud
     assert from_A.subset_of(bigger)
 
 
@@ -530,7 +530,7 @@ def test_omega_limit_inside_individual_attractor():
     mal = models.malaria_model()
     w = UPString("", "0")
     a_w = individual_attractor(mal, w, delta=0.01)
-    om = individual_attractor(mal, w, 0.01, seed=PointCloud(np.array([[0.5, 0.5]]), 0.01)).cloud
+    om = individual_attractor(_seeded(mal, PointCloud(np.array([[0.5, 0.5]]), 0.01)), w, 0.01).cloud
     assert directed_distance(om, a_w.cloud) <= 2 * 0.01
 
 
