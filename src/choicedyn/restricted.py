@@ -19,9 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .setdyn import (
-    ModelSpec, PointCloud, _check_maxiter, _check_symbols, _Graph, _nearest, _sweep, hausdorff,
-)
+from .setdyn import ModelSpec, PointCloud, _Graph, _nearest, _sweep, hausdorff
 from .sofic import SoficPresentation, _walk, start_vertices
 from .symbolic import UPString
 
@@ -67,11 +65,9 @@ def vertex_limits(
     product graph (u, x) -> (v, snap(S_j(x))); a cloud that grows there
     raises RuntimeError.  Equal vertex clouds are one object.
     """
-    _check_maxiter(maxiter)
     if pres.is_empty:
         raise ValueError("presentation is empty")
-    _check_symbols(model, sorted({j for _, j, _ in pres.edges}))
-    g = _Graph(model, delta)
+    g = _Graph(model, delta, maxiter, sorted({j for _, j, _ in pres.edges}))
     # a vertex without live incoming edges gets the empty set: no long word ends there
     incoming = [[(pres.vertices.index(u), j) for u, j, dst in sorted(pres.edges) if dst == v] for v in pres.vertices]
     masks, k, residual, stop = _sweep(g, incoming, maxiter)

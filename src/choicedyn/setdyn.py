@@ -57,11 +57,13 @@ def _as_point_array(points, dim=None) -> np.ndarray:
     return arr
 
 
-def _grid_delta(delta) -> float:
-    """delta as a float, which must be finite and non-negative."""
+def _grid_delta(delta, model=None) -> float:
+    """delta as a float, which must be finite and non-negative, and 0 for a discrete model."""
     delta = float(delta)
     if delta < 0 or not math.isfinite(delta):
         raise ValueError("delta must be a finite non-negative number")
+    if model is not None and model.discrete and delta != 0:
+        raise ValueError(f"model {model.name!r} is discrete; use delta = 0")
     return delta
 
 
@@ -347,14 +349,16 @@ class _Graph:
     read as False on them.
     """
 
-    def __init__(self, model: ModelSpec, delta: float):
-        """Nodes for the model's seeder at delta; the one place where the
-        delta and seed of a grid run are checked."""
-        delta = _grid_delta(delta)
-        if model.discrete and delta != 0:
-            raise ValueError(f"model {model.name!r} is discrete; use delta = 0")
+    def __init__(self, model: ModelSpec, delta: float, maxiter: int = None, symbols=()):
+        """Nodes for the model's seeder at delta; the one place where a grid
+        run's inputs are checked, before the seeder is called: ``maxiter``
+        (None for a default), the symbols the run applies, delta, the seed."""
+        if maxiter is not None and maxiter < 0:
+            raise ValueError(f"maxiter must be non-negative, got {maxiter}")
+        if bad := [j for j in symbols if not 0 <= j < model.n_maps]:
+            raise ValueError(f"symbol {bad[0]} outside the model's {model.n_maps} maps")
         self.model = model
-        self.delta = delta
+        self.delta = delta = _grid_delta(delta, model)
         # seeded here so that the float seed is freed before its keys are packed
         keys = _snap(_as_point_array(model.seeder(delta), model.dim), delta)
         if len(keys) == 0 or keys.shape[1] != model.dim:
@@ -446,7 +450,7 @@ class _Graph:
         return hausdorff(self.cloud(a), self.cloud(b), self.model)
 
 
-def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter: int = 1000):
+def _recurrence(g: _Graph, step, start: tuple, maxiter: int, p: int = 1, pre: int = 0):
     """Orbit s_k = step(k, s_{k-1}) of a tuple of masks over g: (states, k, residual, stop).
 
     Past ``pre``, s_k is keyed by its phase (k - pre) mod p and digests of its
@@ -468,12 +472,6 @@ def _recurrence(g: _Graph, step, start: tuple, p: int = 1, pre: int = 0, maxiter
     return tail, maxiter, residual, "maxiter"
 
 
-def _check_maxiter(maxiter: int) -> None:
-    """Raise ValueError for a negative maxiter, before any graph is built."""
-    if maxiter < 0:
-        raise ValueError(f"maxiter must be non-negative, got {maxiter}")
-
-
 def _sweep(g: _Graph, incoming, maxiter: int):
     """Jacobi sweeps C'_v = union of snap(S_j(C_u)) over the (u, j) in
     incoming[v], every C_v starting at all nodes of g: (masks, k, residual, stop).
@@ -490,7 +488,7 @@ def _sweep(g: _Graph, incoming, maxiter: int):
             raise RuntimeError(f"model {g.model.name!r}: seed_absorbing seed is not absorbing")
         return new
 
-    states, k, residual, stop = _recurrence(g, sweep, (np.ones(g.n, bool),) * len(incoming), maxiter=maxiter)
+    states, k, residual, stop = _recurrence(g, sweep, (np.ones(g.n, bool),) * len(incoming), maxiter)
     return list(zip(*(states if stop == "cycle" else states[-1:]))), k, residual, stop
 
 
@@ -498,17 +496,13 @@ def hutchinson_step(model: ModelSpec, cloud: PointCloud) -> PointCloud:
     """One application of F(A) = S_0(A) u ... u S_{N-1}(A), snapped."""
     if cloud.n == 0:
         raise ValueError("hutchinson_step needs a nonempty cloud")
+    _grid_delta(cloud.delta, model)
+    if cloud.dim != model.dim:
+        raise ValueError(f"a cloud of dimension {cloud.dim} for model {model.name!r} of dimension {model.dim}")
     images = [np.asarray(fn(cloud.points), dtype=float) for fn in model.maps]
     raw = np.concatenate(images)
     model.escape_check(raw, cloud.delta)
     return PointCloud(raw, cloud.delta)
-
-
-def _check_symbols(model: ModelSpec, symbols) -> None:
-    """Raise ValueError naming the first symbol the model has no map for."""
-    for sym in symbols:
-        if not 0 <= sym < model.n_maps:
-            raise ValueError(f"symbol {sym} outside the model's {model.n_maps} maps")
 
 
 def _nearest(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
@@ -610,8 +604,7 @@ def compute_K(
     >>> sorted(models.label_cloud(k.cloud)), k.iterations, k.stop
     (['A', 'B', 'C'], 1, 'cycle')
     """
-    _check_maxiter(maxiter)
-    g = _Graph(model, delta)
+    g = _Graph(model, delta, maxiter)
     masks, k, residual, stop = _sweep(g, [[(0, j) for j in range(model.n_maps)]], maxiter)
     return AttractorReport(g.cloud(*masks[0]), k, residual, stop)
 
@@ -631,15 +624,12 @@ def individual_attractor(
     delta, or the seed size at delta = 0, plus |preperiod| + 4p, p the
     period length) it is the union of the last p + 1 sets, unconverged.
     """
-    if maxiter is not None:
-        _check_maxiter(maxiter)
-    _check_symbols(model, w.preperiod + w.period)
-    g = _Graph(model, delta)
+    g = _Graph(model, delta, maxiter, w.preperiod + w.period)
     p, pre = len(w.period), len(w.preperiod)
     if maxiter is None:
         maxiter = (math.ceil(10.0 * model.diameter() / g.delta) if g.delta > 0 else g.n) + pre + 4 * p
     states, k, residual, stop = _recurrence(
-        g, lambda k, s: (g.image([(s[0], w.letter_at(k - 1))], step=k),), (np.ones(g.n, bool),), p, pre, maxiter
+        g, lambda k, s: (g.image([(s[0], w.letter_at(k - 1))], step=k),), (np.ones(g.n, bool),), maxiter, p, pre
     )
     return AttractorReport(g.cloud(*[s[0] for s in states]), k, residual, stop)
 
@@ -660,6 +650,7 @@ def chaos_game(
     observable, the first coordinate, over the post-burn-in orbit.
     Identical rng_seed gives bit-identical results.
     """
+    delta = _grid_delta(delta, model)
     probs = np.asarray(probs, dtype=float)
     if len(probs) != model.n_maps:
         raise ValueError(f"need {model.n_maps} probabilities, got {len(probs)}")

@@ -45,12 +45,9 @@ class SoficPresentation:
             norm.add((str(src), sym, str(dst)))
         vertices = {v for e in norm for v in (e[0], e[2])}
         # Essential part: drop vertices with no outgoing edge until stable.
-        while True:
-            dead = {v for v in vertices if not any(e[0] == v for e in norm)}
-            if not dead:
-                break
+        while dead := vertices - {src for src, _, _ in norm}:
             vertices -= dead
-            norm = {e for e in norm if e[0] not in dead and e[2] not in dead}
+            norm = {e for e in norm if e[2] not in dead}
         return SoficPresentation(n_symbols, tuple(sorted(vertices)), frozenset(norm))
 
     @cached_property

@@ -95,11 +95,15 @@ def test_individual_config_window_is_unknown(tmp_path, capsys):
         ("slices", "--model", "malaria", "--subshift", "golden_mean", "--delta", "0"),
         ("slices", "--model", "gestalt", "--subshift", "golden_mean", "--delta", "0.5"),
         ("attractor", "--model", "cantor", "--delta", "nan"),
+        # rejected before the chaos game applies a map, whose escape monitor allows 10 * delta of slack
+        ("chaos", "--model", "cantor", "--delta", "-1"),
+        ("chaos", "--model", "gestalt", "--delta", "0.5"),
     ],
 )
 def test_invalid_delta_exits_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

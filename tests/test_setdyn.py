@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choicedyn import models, restricted, setdyn
+from choicedyn import models, setdyn
 from choicedyn.restricted import vertex_limits
 from choicedyn.setdyn import (
     AssumptionViolation,
@@ -325,6 +325,15 @@ _ENTRY_POINTS = {
     "individual_attractor": lambda m, d, seed: individual_attractor(_seeded(m, seed), UPString("", "01"), d),
     "vertex_limits": lambda m, d, seed: vertex_limits(_seeded(m, seed), builtin("golden_mean"), d),
 }
+# The chaos game and the Hutchinson step take no seed, but apply the same
+# delta rule before any map.  A cloud's own constructor rejects a negative
+# or NaN delta, so the step gets a cloud built around it.
+_MAP_RUNS = {
+    "chaos_game": lambda m, d, _: chaos_game(
+        m, [1 / m.n_maps] * m.n_maps, np.zeros(m.dim), steps=10, burnin=1, rng_seed=0, delta=d
+    ),
+    "hutchinson_step": lambda m, d, _: hutchinson_step(m, PointCloud._canonical(np.zeros((1, m.dim)), d)),
+}
 
 
 @pytest.mark.parametrize(
@@ -344,32 +353,37 @@ _ENTRY_POINTS = {
 )
 def test_every_grid_run_rejects_bad_input_alike(name, delta, seed, message):
     model = models.build_model(name)
-    for entry, run in _ENTRY_POINTS.items():
+    # a seed, and malaria's seeder at delta = 0, matter to grid runs only
+    runs = {**_ENTRY_POINTS, **(_MAP_RUNS if seed is None and delta != 0 else {})}
+    for entry, run in runs.items():
         with pytest.raises(ValueError) as exc:
             run(model, delta, seed)
         assert str(exc.value) == message, entry
 
 
-def test_a_negative_maxiter_is_a_value_error(cantor, monkeypatch):
+def test_hutchinson_step_needs_the_model_dimension():
+    with pytest.raises(ValueError, match="a cloud of dimension 2 for model 'cantor' of dimension 1"):
+        hutchinson_step(models.cantor_model(), PointCloud([[0.3, 0.6]], 0.01))
+
+
+def test_a_negative_maxiter_is_a_value_error(cantor):
     seed = PointCloud(cantor.seeder(0.01), 0.01)
     runs = {
-        "compute_K": lambda maxiter: compute_K(cantor, 0.01, maxiter=maxiter),
-        "individual_attractor": lambda maxiter: individual_attractor(cantor, UPString("", "01"), 0.01, maxiter=maxiter),
-        "vertex_limits": lambda maxiter: vertex_limits(cantor, builtin("golden_mean"), 0.01, maxiter=maxiter),
+        "compute_K": lambda m, maxiter: compute_K(m, 0.01, maxiter=maxiter),
+        "individual_attractor": lambda m, maxiter: individual_attractor(m, UPString("", "01"), 0.01, maxiter=maxiter),
+        "vertex_limits": lambda m, maxiter: vertex_limits(m, builtin("golden_mean"), 0.01, maxiter=maxiter),
     }
 
-    def no_graph(*args, **kwargs):
-        raise AssertionError("built a transition graph")
+    def no_seed(delta):
+        raise AssertionError("seeded a rejected run")
 
-    with monkeypatch.context() as patch:  # rejected before the grid is built
-        for module in (setdyn, restricted):
-            patch.setattr(module, "_Graph", no_graph)
-        for maxiter in (-1, -3):
-            for run in runs.values():
-                with pytest.raises(ValueError, match=f"maxiter must be non-negative, got {maxiter}"):
-                    run(maxiter)
+    unseeded = dataclasses.replace(cantor, seeder=no_seed)  # rejected before the seed is built
+    for maxiter in (-1, -3):
+        for run in runs.values():
+            with pytest.raises(ValueError, match=f"maxiter must be non-negative, got {maxiter}"):
+                run(unseeded, maxiter)
     for entry, run in runs.items():
-        out = run(0)  # returns the seed, unconverged
+        out = run(cantor, 0)  # returns the seed, unconverged
         assert out.stop == "maxiter" and out.iterations == 0, entry
         assert (out.union() if entry == "vertex_limits" else out.cloud) == seed, entry
 

@@ -133,6 +133,9 @@ def test_pruning_drops_dead_branches():
     # "dead" has no outgoing edge, then "b" loses its only edge; "x" survives
     assert set(pres.vertices) == {"a", "x"}
     assert {src for src, _, _ in pres.edges} == set(pres.vertices)
+    # a long dead chain loses one vertex per round
+    chain = [(f"c{i}", 0, f"c{i + 1}") for i in range(400)]
+    assert SoficPresentation.make(2, [*builtin("golden_mean").edges, ("g1", 1, "c0"), *chain]) == builtin("golden_mean")
 
 
 def test_text_round_trip():
