@@ -43,8 +43,7 @@ _FLAGS = {
     "config": dict(help="JSON config file; flags override its entries"),
     "out": dict(help="output directory (default ./out)"),
     "model": dict(help=f"model name, one of {', '.join(models.MODEL_NAMES)}"),
-    "delta": dict(type=float, help="grid resolution (default 0.01 for continuous models; 0, exact, "
-                                     "for discrete models and for render)"),
+    "delta": dict(type=float, help="grid resolution (default 0.01 for continuous models; 0, exact, for discrete ones)"),
     "maxiter": dict(type=int, help="iteration cap (default 1000)"),
     "strategy": dict(help='strategy string "PRE(PER)", e.g. "(10)"'),
     "subshift": dict(help="builtin presentation name or a graph text file"),
@@ -117,10 +116,7 @@ class RunConfig:
 def _model_from(cfg: RunConfig):
     if not cfg.model:
         raise ValueError("no model selected; pass --model or a config file")
-    try:
-        model = models.build_model(cfg.model, cfg.params)
-    except TypeError as exc:
-        raise ValueError(str(exc))
+    model = models.build_model(cfg.model, cfg.params)
     delta = cfg.delta if cfg.delta is not None else (0.0 if model.discrete else 0.01)
     return model, float(delta)
 
@@ -245,7 +241,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_render(cfg: RunConfig, args) -> int:
     try:
         with open(args.csv, "r", encoding="utf-8") as fh:
-            cloud = PointCloud.from_csv(fh.read(), cfg.delta if cfg.delta is not None else 0.0)
+            cloud = PointCloud.from_csv(fh.read())
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {args.csv!r}: {exc}")
     if cloud.n == 0:
@@ -267,7 +263,7 @@ _COMMANDS = {
     "chaos": (cmd_chaos, "run the chaos game and report the observable average",
               ("model", "params", "delta", "seed", "probs", "steps", "burnin", "x0")),
     "verify": (cmd_verify, "run the acceptance criteria and write verify.json", ("params", "only")),
-    "render": (cmd_render, "re-render a point-cloud CSV as an SVG scatter", ("delta",)),
+    "render": (cmd_render, "re-render a point-cloud CSV as an SVG scatter", ()),
 }
 
 

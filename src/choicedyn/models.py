@@ -138,14 +138,14 @@ def malaria_model(p0: MalariaParams = PSET0, p1: MalariaParams = PSET1) -> Model
 LINE_RADIUS = 1.0e6
 
 
-def line_counterexample(radius: float = LINE_RADIUS) -> ModelSpec:
+def line_counterexample() -> ModelSpec:
     """Two piecewise-linear maps on R whose alternation is unbounded.
 
     S0(x) = 0 for x <= 0 and -2x for x > 0; S1 mirrors it.  Each map alone
     has the singleton attractor {0}; the strategy (01)^inf doubles |x| each
     step, which the escape monitor reports as an assumption violation once
-    |x| passes the monitoring radius.  The seed samples the inner half of
-    the monitored interval so that one map application stays inside it.
+    |x| passes ``LINE_RADIUS``.  The seed samples the inner half of the
+    monitored interval so that one map application stays inside it.
     """
 
     def s0(x):
@@ -155,15 +155,15 @@ def line_counterexample(radius: float = LINE_RADIUS) -> ModelSpec:
         return -2.0 * x if x <= 0.0 else 0.0
 
     def seed(delta):
-        return np.linspace(-radius / 2.0, radius / 2.0, 2001)[:, None]
+        return np.linspace(-LINE_RADIUS / 2.0, LINE_RADIUS / 2.0, 2001)[:, None]
 
     return ModelSpec(
         name="line",
         dim=1,
         maps=(_by_rows(s0, 1), _by_rows(s1, 1)),
         scalar_maps=(s0, s1),
-        lower=(-radius,),
-        upper=(radius,),
+        lower=(-LINE_RADIUS,),
+        upper=(LINE_RADIUS,),
         seeder=seed,
     )
 
@@ -390,7 +390,7 @@ _BUILDERS = {
     "malaria": (("dt", "pset0", "pset1"), lambda p: malaria_model(*malaria_psets(p))),
     "malaria0": (("dt", "pset0"), lambda p: submodel(malaria_model(_malaria_pset(p, "pset0")), 0)),
     "cantor": ((), lambda p: cantor_model()),
-    "line": (("radius",), lambda p: line_counterexample(radius=p.get("radius", LINE_RADIUS))),
+    "line": ((), lambda p: line_counterexample()),
     "gestalt": (("depth",), lambda p: gestalt_model(**p)),
     "three_point": ((), lambda p: three_point_model()),
 }

@@ -63,7 +63,8 @@ def vertex_limits(
     clouds only shrink, so the recurrence is the exact limit on the grid:
     C_v holds the nodes x for which (v, x) is reachable from a cycle of the
     product graph (u, x) -> (v, snap(S_j(x))); a cloud that grows there
-    raises RuntimeError.  Equal vertex clouds are one object.
+    raises RuntimeError, so a caller's seed needs ``seed_absorbing=False``.
+    Equal vertex clouds are one object.
     """
     if pres.is_empty:
         raise ValueError("presentation is empty")

@@ -199,11 +199,7 @@ class PointCloud:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointCloud):
             return NotImplemented
-        return (
-            self.delta == other.delta
-            and self._rows.shape == other._rows.shape
-            and bool(np.array_equal(self._rows, other._rows))
-        )
+        return self.delta == other.delta and bool(np.array_equal(self._rows, other._rows))
 
     def __repr__(self) -> str:
         return f"PointCloud(n={self.n}, dim={self.dim}, delta={self.delta!r})"
@@ -387,7 +383,7 @@ class _Graph:
         miss = ~known | (self.code[ids] != code)
         if miss.any():
             keys = keys[miss]
-            if not all(_sorted_isin(col, vals).all() for col, vals in zip(keys.T, self.cols)):
+            if not known.all():
                 old = _decode(self.cols, self.code)
                 self.cols = [_sorted_unique(np.concatenate((vals, col))) for col, vals in zip(keys.T, self.cols)]
                 self._reorder(_codes(self.cols, old))
@@ -407,7 +403,7 @@ class _Graph:
         """The mask padded with False to the current node count."""
         return np.concatenate((mask, np.zeros(self.n - len(mask), bool)))
 
-    def image(self, pairs, step: int = 0) -> np.ndarray:
+    def image(self, pairs, step: int) -> np.ndarray:
         """Mask of the union of snap(S_j(A)) over a list of (mask of A, j) pairs.
 
         Successors missing for live nodes are computed with vectorised
@@ -485,7 +481,8 @@ def _sweep(g: _Graph, incoming, maxiter: int):
     def sweep(k, masks):
         new = tuple(g.image([(masks[u], j) for u, j in edges], step=k) for edges in incoming)
         if g.model.seed_absorbing and any((g.fit(b) & ~g.fit(a)).any() for a, b in zip(masks, new)):
-            raise RuntimeError(f"model {g.model.name!r}: seed_absorbing seed is not absorbing")
+            raise RuntimeError(f"model {g.model.name!r}: seed_absorbing seed is not absorbing; seed a run "
+                               "with dataclasses.replace(model, seeder=..., seed_absorbing=False)")
         return new
 
     states, k, residual, stop = _recurrence(g, sweep, (np.ones(g.n, bool),) * len(incoming), maxiter)
@@ -524,7 +521,7 @@ def _nearest(points: np.ndarray, cloud: PointCloud) -> np.ndarray:
     if cloud.dim == 1:
         b, points = (np.column_stack((p[:, 0], np.zeros(len(p)))) for p in (b, points))
     cx, cy = _sorted_unique(b[:, 0]), _sorted_unique(b[:, 1])
-    code = np.searchsorted(cx, b[:, 0]) * len(cy) + np.searchsorted(cy, b[:, 1])
+    code = _codes([cx, cy], b)
     start = np.searchsorted(code, np.arange(len(cx) + 1) * len(cy))  # column c is rows start[c]:start[c + 1]
     home, ry = np.searchsorted(cx, points[:, 0]), np.searchsorted(cy, points[:, 1])
     # a column at +inf, which c = -1 reads too, ends every walk; by gets a spare row for i = len(b)
@@ -593,8 +590,9 @@ def compute_K(
     Stops at the orbit's first recurrence with the union of its cycle, or at
     ``maxiter`` with the last cloud.  From the absorbing seed the clouds only
     shrink, so the recurrence is a fixed point: the grid nodes reachable from
-    a cycle of the maps' node tables.  K is the vertex family over the full
-    shift, whose one vertex has a loop for each map:
+    a cycle of the maps' node tables; a caller's seed, which may grow, needs
+    ``seed_absorbing=False``.  K is the vertex family over the full shift,
+    whose one vertex has a loop for each map:
 
     >>> from choicedyn import models, restricted, sofic
     >>> m = models.three_point_model()

@@ -124,19 +124,18 @@ def builtin(name: str, n_symbols: int = 2) -> SoficPresentation:
     symbols and reject any other n_symbols.
     """
     key = name.strip().lower()
-    if key in ("full", "full_shift"):
+    if key == "full_shift":
         return SoficPresentation.make(n_symbols, [("q", j, "q") for j in range(n_symbols)])
-    if key in ("golden_mean", "even", "even_shift", "golden_even") and n_symbols != 2:
+    binary = {
+        "golden_mean": [("g0", 0, "g0"), ("g0", 1, "g1"), ("g1", 0, "g0")],
+        "even_shift": [("e0", 1, "e0"), ("e0", 0, "e1"), ("e1", 0, "e0")],
+        "golden_even": [("A", 0, "B"), ("B", 0, "C"), ("C", 0, "B"), ("C", 1, "A")],
+    }
+    if key not in binary:
+        raise ValueError(f"unknown builtin presentation {name!r}")
+    if n_symbols != 2:
         raise ValueError(f"builtin presentation {name!r} is over 2 symbols, not {n_symbols}")
-    if key == "golden_mean":
-        return SoficPresentation.make(2, [("g0", 0, "g0"), ("g0", 1, "g1"), ("g1", 0, "g0")])
-    if key in ("even", "even_shift"):
-        return SoficPresentation.make(2, [("e0", 1, "e0"), ("e0", 0, "e1"), ("e1", 0, "e0")])
-    if key == "golden_even":
-        return SoficPresentation.make(
-            2, [("A", 0, "B"), ("B", 0, "C"), ("C", 0, "B"), ("C", 1, "A")]
-        )
-    raise ValueError(f"unknown builtin presentation {name!r}")
+    return SoficPresentation.make(2, binary[key])
 
 
 def language(pres: SoficPresentation, max_len: int) -> set:

@@ -199,9 +199,9 @@ def c06_malaria_restricted(ctx: Context) -> tuple:
     # the two bundled steps) satisfies its gap, while at dt = 0.05 the true
     # gap sits near 8.5*delta
     model = ctx.malaria(dt=0.005)
-    K = compute_K(model, delta=delta, maxiter=3000).cloud
+    K = compute_K(model, delta=delta).cloud
     pres = builtin("golden_mean")
-    family = vertex_limits(model, pres, delta=delta, maxiter=3000)
+    family = vertex_limits(model, pres, delta=delta)
     report = enumerate_slices(model, pres, family, period_bound=4)
     problems = []
     if len(report.slices) != 2:

@@ -507,7 +507,7 @@ READS = {
     "slices": {"model", "params", "delta", "maxiter", "subshift", "period_bound"},
     "chaos": {"model", "params", "delta", "seed", "probs", "steps", "burnin", "x0"},
     "verify": {"params", "only"},
-    "render": {"delta"},
+    "render": set(),
 }
 # no command reads tol: `slices --tol` is a usage error too
 FLAGS = ("model", "delta", "tol", "maxiter", "strategy", "subshift", "seed", "only")
@@ -557,6 +557,44 @@ def test_params_a_model_does_not_read_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"model": "malaria", "params": {"depth": 3}, "delta": 0.1}))
     assert run_cli("attractor", "--config", str(cfg), "--out", str(tmp_path)) == 2
     assert "depth" in capsys.readouterr().err
+
+
+def test_line_radius_is_a_param_line_does_not_read(tmp_path, capsys):
+    # a negative radius was an escape at step 1 (exit 4); line reads no params
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "line", "params": {"radius": -5}, "delta": 0}))
+    assert run_cli("attractor", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "config error: model 'line' reads only params [], got ['radius']\n"
+
+
+# every builder turns a param of the wrong type into a ValueError, so the CLI needs no TypeError handler
+@pytest.mark.parametrize(
+    "model,params",
+    [
+        ("malaria", {"dt": "0.05"}),
+        ("malaria", {"dt": None}),
+        ("malaria", {"dt": [0.05]}),
+        ("malaria", {"pset0": [4, 6, 1, 2]}),
+        ("malaria", {"pset1": "abc"}),
+        ("malaria", {"pset1": None}),
+        ("malaria", {"pset0": {"a": "4", "b": 6, "r": 1, "m": 2}}),
+        ("malaria0", {"dt": "fast"}),
+        ("malaria0", {"pset0": {"a": [4], "b": 6, "r": 1, "m": 2}}),
+        ("gestalt", {"depth": "12"}),
+        ("gestalt", {"depth": None}),
+        ("gestalt", {"depth": [12]}),
+        ("line", {"radius": "big"}),
+        ("cantor", {"dt": None}),
+        ("three_point", {"depth": []}),
+    ],
+)
+def test_a_model_param_of_the_wrong_type_exits_2(tmp_path, capsys, model, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model, "params": params}))
+    assert run_cli("attractor", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("depth", [8.5, 8.0, True, 40])

@@ -199,6 +199,7 @@ def test_submodel_matches_pset0_dynamics():
         ("malaria0", {"pset1": {"a": 2, "b": 10, "r": 3, "m": 2}}),
         ("cantor", {"dt": 0.05}),
         ("line", {"depth": 12}),
+        ("line", {"radius": 1.0}),
         ("gestalt", {"radius": 1.0}),
         ("three_point", {"dt": 0.05}),
     ],

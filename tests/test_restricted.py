@@ -546,6 +546,23 @@ def test_vertex_limits_rejects_a_seed_flagged_absorbing_that_grows():
             vertex_limits(model, builtin("full_shift", 2), delta=0.01)
 
 
+def test_a_caller_seed_runs_with_seed_absorbing_cleared():
+    # the documented way to seed a run of a model flagged seed_absorbing
+    malaria = models.build_model("malaria")
+    point = dataclasses.replace(malaria, seeder=lambda delta: np.array([[0.5, 0.5]]))
+    for run in (lambda: compute_K(point, delta=0.01), lambda: vertex_limits(point, builtin("golden_mean"), 0.01)):
+        with pytest.raises(RuntimeError, match="not absorbing; seed a run with .*seed_absorbing=False"):
+            run()
+    point = dataclasses.replace(point, seed_absorbing=False)
+    report, full = compute_K(point, delta=0.01), compute_K(malaria, delta=0.01).cloud
+    assert report.stop == "cycle" and 0 < report.cloud.n < full.n
+    assert report.cloud.difference(full).n == 0
+    golden, every = (vertex_limits(point, builtin(name), delta=0.01) for name in ("golden_mean", "full_shift"))
+    assert golden.stop == every.stop == "cycle"
+    assert every.union() == report.cloud
+    assert golden.union().difference(every.union()).n == 0
+
+
 def test_empty_presentation_rejected(three_point):
     empty = SoficPresentation.make(2, [])
     with pytest.raises(ValueError):

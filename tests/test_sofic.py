@@ -35,8 +35,9 @@ def test_builtin_shapes():
     assert len(fs.vertices) == 1 and len(fs.edges) == 2
     ge = builtin("golden_even")
     assert len(ge.vertices) == 3
-    with pytest.raises(ValueError):
-        builtin("no_such_shift")
+    for name in ("no_such_shift", "full", "even"):  # only the four documented names
+        with pytest.raises(ValueError, match="unknown builtin presentation"):
+            builtin(name)
     assert len(builtin("full_shift", 3).edges) == 3
     for name in ("golden_mean", "even_shift", "golden_even"):
         for n_symbols in (1, 3):
